@@ -42,6 +42,7 @@ use crate::numeric::kernel::LuVals;
 use crate::options::ZeroPivotPolicy;
 use crate::precond::ScenarioPrecond;
 use crate::symbolic_ilu::{NumericScratch, SymCore, SymbolicIlu, FILL};
+use crate::trisolve::serial::SweepVals;
 use crate::SolveEngine;
 use javelin_sparse::{with_lanes, CsrMatrix, Scalar, SparseError};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -108,14 +109,17 @@ impl<T: Scalar> SymbolicIlu<T> {
         }
         let factors = (0..k)
             .map(|_| {
+                let mut vals = vec![T::ZERO; nnz];
+                let mut sweep = SweepVals::zeroed(&c.sweep);
+                sweep.commit(c, |e| seed_vals[e], &mut vals);
                 let lu = CsrMatrix::from_raw_unchecked(
                     c.n,
                     c.n,
                     c.rowptr.clone(),
                     c.colidx.clone(),
-                    seed_vals.clone(),
+                    vals,
                 );
-                IluFactors::from_parts(self.clone(), lu, c.stats.clone())
+                IluFactors::from_parts(self.clone(), lu, sweep, c.stats.clone())
             })
             .collect();
         let mut batch = FactorsBatch {
@@ -312,15 +316,11 @@ impl<T: Scalar> FactorsBatch<T> {
         // its factor object and complete its statistics; failed
         // scenarios keep the previous factorization.
         let t_numeric = t2.elapsed();
-        let nnz = c.colidx.len();
         for lane in 0..k {
             if statuses[lane].is_err() {
                 continue;
             }
-            let out = factors[lane].lu_vals_mut();
-            for (e, slot) in out.iter_mut().enumerate().take(nnz) {
-                *slot = lu_vals.get(e * k + lane);
-            }
+            factors[lane].commit(|e| lu_vals.get(e * k + lane));
             let stats = factors[lane].stats_mut();
             stats.replaced_pivots = replaced[lane].load(Ordering::Relaxed);
             stats.dropped_entries = dropped[lane].load(Ordering::Relaxed);

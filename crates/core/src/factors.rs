@@ -5,7 +5,8 @@
 use crate::options::SolveEngine;
 use crate::stats::FactorStats;
 use crate::symbolic_ilu::SymbolicIlu;
-use crate::trisolve::{engines, serial};
+use crate::trisolve::engines;
+use crate::trisolve::serial::{self, SweepVals};
 use javelin_level::{LevelSets, P2PSchedule};
 use javelin_sparse::lanes::{DynLanes, Lanes};
 use javelin_sparse::{with_lanes, CsrMatrix, Panel, PanelMut, Perm, Scalar, SparseError};
@@ -56,12 +57,22 @@ pub struct SolvePlan {
 /// and zero thread spawns. The scratch is mutex-guarded: concurrent
 /// applies from different threads serialize instead of racing.
 ///
+/// The factor values are stored twice, both copies written by one
+/// commit at the end of every numeric phase: the combined LU CSR
+/// ([`IluFactors::lu`]) that the parallel engines read, and the sweep
+/// layout that [`SolveEngine::Serial`] streams (split L/U in sweep
+/// order with `u32` indices, the permutation folded into the sweeps —
+/// see [`crate::trisolve::serial`]). Both layouts hold the same values,
+/// and the serial sweeps do the arithmetic of the parallel engines' row
+/// retirement.
+///
 /// For time-stepping workloads, [`IluFactors::refactor`] redoes only
 /// the numeric phase in place when the values change but the pattern
 /// does not.
 pub struct IluFactors<T> {
     sym: SymbolicIlu<T>,
     lu: CsrMatrix<T>,
+    sweep: SweepVals<T>,
     stats: FactorStats,
 }
 
@@ -100,8 +111,18 @@ pub fn compute<T: Scalar>(
 
 impl<T: Scalar> IluFactors<T> {
     /// Assembles a factor object (numeric-phase internal constructor).
-    pub(crate) fn from_parts(sym: SymbolicIlu<T>, lu: CsrMatrix<T>, stats: FactorStats) -> Self {
-        IluFactors { sym, lu, stats }
+    pub(crate) fn from_parts(
+        sym: SymbolicIlu<T>,
+        lu: CsrMatrix<T>,
+        sweep: SweepVals<T>,
+        stats: FactorStats,
+    ) -> Self {
+        IluFactors {
+            sym,
+            lu,
+            sweep,
+            stats,
+        }
     }
 
     /// The symbolic analysis these factors were produced from. Cloning
@@ -132,7 +153,7 @@ impl<T: Scalar> IluFactors<T> {
     ///   factorization, so the old preconditioner stays usable.
     pub fn refactor(&mut self, a: &CsrMatrix<T>) -> Result<(), SparseError> {
         self.sym
-            .refactor_into(a, self.lu.vals_mut(), &mut self.stats)
+            .refactor_into(a, self.lu.vals_mut(), &mut self.sweep, &mut self.stats)
     }
 
     /// Like [`IluFactors::refactor`], but unconditionally boosts the
@@ -150,14 +171,20 @@ impl<T: Scalar> IluFactors<T> {
         a: &CsrMatrix<T>,
         relative_shift: f64,
     ) -> Result<(), SparseError> {
-        self.sym
-            .refactor_shifted_into(a, self.lu.vals_mut(), &mut self.stats, relative_shift)
+        self.sym.refactor_shifted_into(
+            a,
+            self.lu.vals_mut(),
+            &mut self.sweep,
+            &mut self.stats,
+            relative_shift,
+        )
     }
 
-    /// Mutable factor-value storage — the batched-refactor commit path
-    /// (`crate::batch_factor`) de-interleaves scenario lanes into it.
-    pub(crate) fn lu_vals_mut(&mut self) -> &mut [T] {
-        self.lu.vals_mut()
+    /// Commits factor value `get(e)` for every combined-LU entry `e` —
+    /// the batched-refactor path (`crate::batch_factor`) de-interleaves
+    /// scenario lanes through it.
+    pub(crate) fn commit(&mut self, get: impl Fn(usize) -> T) {
+        self.sweep.commit(self.sym.core(), get, self.lu.vals_mut());
     }
 
     /// Mutable statistics — completed per scenario by the batched
@@ -264,23 +291,7 @@ impl<T: Scalar> IluFactors<T> {
     /// # Errors
     /// [`SparseError::DimensionMismatch`] on length mismatches.
     pub fn solve_with(&self, engine: SolveEngine, b: &[T], x: &mut [T]) -> Result<(), SparseError> {
-        let n = self.n();
-        if b.len() != n || x.len() != n {
-            return Err(SparseError::DimensionMismatch(format!(
-                "solve: rhs/solution lengths ({}, {}) != {}",
-                b.len(),
-                x.len(),
-                n
-            )));
-        }
-        // Permuted RHS.
-        let mut z = self.perm().apply_vec(b);
-        self.solve_permuted_inplace(engine, &mut z);
-        // Un-permute into x.
-        for (i, &o) in self.perm().new_to_old().iter().enumerate() {
-            x[o] = z[i];
-        }
-        Ok(())
+        self.solve_with_buffer(engine, &mut Vec::new(), b, x)
     }
 
     /// Like [`IluFactors::solve_with`], but the permutation buffer is
@@ -288,6 +299,9 @@ impl<T: Scalar> IluFactors<T> {
     /// with the internal scratch this makes the whole solve
     /// allocation-free in the steady state — the path
     /// [`crate::Preconditioner::apply_with`] takes inside Krylov loops.
+    /// The serial engine uses the buffer for its permuted intermediate
+    /// and needs no other pass; the parallel engines permute `b` into
+    /// it and the solution out of it.
     ///
     /// # Errors
     /// [`SparseError::DimensionMismatch`] on length mismatches.
@@ -308,6 +322,10 @@ impl<T: Scalar> IluFactors<T> {
             )));
         }
         perm_buf.resize(n, T::ZERO);
+        if engine == SolveEngine::Serial {
+            serial::solve_fused(&self.sym.core().sweep, &self.sweep, b, perm_buf, x);
+            return Ok(());
+        }
         let old_to_new = self.perm().old_to_new();
         for (o, &bo) in b.iter().enumerate() {
             perm_buf[old_to_new[o]] = bo;
@@ -334,8 +352,7 @@ impl<T: Scalar> IluFactors<T> {
     pub fn solve_permuted_inplace(&self, engine: SolveEngine, z: &mut [T]) {
         match engine {
             SolveEngine::Serial => {
-                serial::forward_inplace(&self.lu, self.diag_positions(), z);
-                serial::backward_inplace(&self.lu, self.diag_positions(), z);
+                serial::solve_permuted_inplace(&self.sym.core().sweep, &self.sweep, z);
             }
             _ => {
                 let mut scratch = self.sym.core().scratch.lock();
@@ -493,6 +510,13 @@ impl<T: Scalar> IluFactors<T> {
         if perm_buf.len() < n * k {
             perm_buf.resize(n * k, T::ZERO);
         }
+        if engine == SolveEngine::Serial {
+            let (pattern, y) = (&self.sym.core().sweep, &mut perm_buf[..n]);
+            for c in 0..k {
+                serial::solve_fused(pattern, &self.sweep, b.col(c), y, x.col_mut(c));
+            }
+            return Ok(());
+        }
         let old_to_new = self.perm().old_to_new();
         let new_to_old = self.perm().new_to_old();
         let mut z = PanelMut::new(&mut perm_buf[..n * k], n, k);
@@ -544,8 +568,10 @@ impl<T: Scalar> IluFactors<T> {
     ) {
         match engine {
             SolveEngine::Serial => {
-                serial::forward_panel_inplace(&self.lu, self.diag_positions(), z);
-                serial::backward_panel_inplace(&self.lu, self.diag_positions(), z);
+                let pattern = &self.sym.core().sweep;
+                for c in 0..z.ncols() {
+                    serial::solve_permuted_inplace(pattern, &self.sweep, z.col_mut(c));
+                }
             }
             _ => {
                 let mut scratch = self.sym.core().scratch.lock();

@@ -133,14 +133,6 @@ impl<T: Scalar> LuVals<T> {
         }
     }
 
-    /// Copies every entry into `out` (lengths must match).
-    pub fn store_to(&self, out: &mut [T]) {
-        assert_eq!(out.len(), self.cells.len(), "LuVals::store_to length");
-        for (i, o) in out.iter_mut().enumerate() {
-            *o = self.get(i);
-        }
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.cells.len()

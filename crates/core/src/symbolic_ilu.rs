@@ -35,6 +35,7 @@ use crate::options::{IluOptions, LowerMethod, SolveEngine, ZeroPivotPolicy};
 use crate::stats::FactorStats;
 use crate::symbolic;
 use crate::trisolve::engines::SolveScratch;
+use crate::trisolve::serial::{SweepPattern, SweepVals};
 use javelin_level::{split_levels, LevelSets, P2PSchedule};
 use javelin_sparse::pattern::{
     level_pattern_of, lower_of_pattern, upper_of_pattern, LevelPattern, SparsityPattern,
@@ -86,6 +87,9 @@ pub(crate) struct SymCore<T> {
     /// Per LU entry: source index into `A.vals()`, or [`FILL`].
     pub(crate) a_src: Vec<usize>,
     pub(crate) perm: Perm,
+    /// The serial engine's copy of the LU pattern (see
+    /// [`crate::trisolve::serial`]).
+    pub(crate) sweep: SweepPattern,
     pub(crate) plan: SolvePlan,
     /// Symbolic/analysis statistics — the template every numeric phase
     /// completes with its own counters and timing.
@@ -161,7 +165,10 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// * [`SparseError::MissingDiagonal`] when a structural diagonal
     ///   entry is absent;
     /// * [`SparseError::DimensionMismatch`] when a shared worker team's
-    ///   participant count disagrees with `opts.nthreads`.
+    ///   participant count disagrees with `opts.nthreads`;
+    /// * [`SparseError::IndexOverflow`] when the dimension or the factor's
+    ///   entry count reaches 2³² (the serial solve layout uses `u32`
+    ///   indices).
     pub fn analyze(a: &CsrMatrix<T>, opts: &IluOptions) -> Result<Self, SparseError> {
         if !a.is_square() {
             return Err(SparseError::NotSquare {
@@ -254,6 +261,7 @@ impl<T: Scalar> SymbolicIlu<T> {
                         .expect("diagonal survives symmetric permutation")
             })
             .collect();
+        let sweep = SweepPattern::new(&rowptr, &colidx, &diag_pos, new_to_old)?;
 
         // Forward schedule over the upper stage. Dependencies are the
         // strictly-lower columns of the *permuted* pattern — always
@@ -418,6 +426,7 @@ impl<T: Scalar> SymbolicIlu<T> {
                 diag_pos,
                 a_src,
                 perm,
+                sweep,
                 plan,
                 stats,
                 exec,
@@ -540,6 +549,7 @@ impl<T: Scalar> SymbolicIlu<T> {
         let mut stats = c.stats.clone();
         let t2 = Instant::now();
         let mut vals = vec![T::ZERO; c.colidx.len()];
+        let mut sweep = SweepVals::zeroed(&c.sweep);
         {
             let mut num = self.core.numeric.lock();
             let outcome = self.run_numeric_policy(a, &mut num, NumericPath::Fresh)?;
@@ -547,15 +557,15 @@ impl<T: Scalar> SymbolicIlu<T> {
             stats.dropped_entries = outcome.dropped;
             stats.shift_attempts = outcome.attempts;
             stats.diag_shift = outcome.shift;
-            num.lu_vals.store_to(&mut vals);
+            sweep.commit(c, |e| num.lu_vals.get(e), &mut vals);
         }
         stats.t_numeric = t2.elapsed();
         let lu = CsrMatrix::from_raw_unchecked(c.n, c.n, c.rowptr.clone(), c.colidx.clone(), vals);
-        Ok(IluFactors::from_parts(self.clone(), lu, stats))
+        Ok(IluFactors::from_parts(self.clone(), lu, sweep, stats))
     }
 
-    /// Redoes the numeric phase for a pattern-identical `a`, writing the
-    /// factor values into `out` — the engine behind
+    /// Redoes the numeric phase for a pattern-identical `a`, committing
+    /// the factor values into `lu` and `sweep` — the engine behind
     /// [`IluFactors::refactor`]. Runs the planned allocation-free path:
     /// point-to-point upper stage on the persistent execution context,
     /// Even-Rows lower sweep, serial corner — bit-identical to
@@ -566,7 +576,8 @@ impl<T: Scalar> SymbolicIlu<T> {
     pub(crate) fn refactor_into(
         &self,
         a: &CsrMatrix<T>,
-        out: &mut [T],
+        lu: &mut [T],
+        sweep: &mut SweepVals<T>,
         stats: &mut FactorStats,
     ) -> Result<(), SparseError> {
         self.check_pattern(a)?;
@@ -580,7 +591,7 @@ impl<T: Scalar> SymbolicIlu<T> {
             stats.dropped_entries = outcome.dropped;
             stats.shift_attempts = outcome.attempts;
             stats.diag_shift = outcome.shift;
-            num.lu_vals.store_to(out);
+            sweep.commit(&self.core, |e| num.lu_vals.get(e), lu);
         }
         stats.t_numeric = t2.elapsed();
         Ok(())
@@ -726,7 +737,8 @@ impl<T: Scalar> SymbolicIlu<T> {
     pub(crate) fn refactor_shifted_into(
         &self,
         a: &CsrMatrix<T>,
-        out: &mut [T],
+        lu: &mut [T],
+        sweep: &mut SweepVals<T>,
         stats: &mut FactorStats,
         relative_shift: f64,
     ) -> Result<(), SparseError> {
@@ -741,7 +753,7 @@ impl<T: Scalar> SymbolicIlu<T> {
             stats.dropped_entries = dropped;
             stats.shift_attempts = 1;
             stats.diag_shift = shift;
-            num.lu_vals.store_to(out);
+            sweep.commit(&self.core, |e| num.lu_vals.get(e), lu);
         }
         stats.t_numeric = t2.elapsed();
         Ok(())

@@ -7,7 +7,9 @@
 //! place because each row reads its own slot before writing it and reads
 //! dependency slots only after their final write).
 //!
-//! * [`serial`] — reference substitution;
+//! * [`serial`] — serial substitution on the factor's sweep layout
+//!   (split L/U in sweep order, `u32` indices, permutation folded into
+//!   the sweeps);
 //! * [`engines`] — the three parallel engines of Fig. 12:
 //!   barriered level sets (`CSR-LS`), point-to-point (`LS`), and
 //!   point-to-point with the tiled lower-stage block (`LS + Lower`).

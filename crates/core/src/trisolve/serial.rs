@@ -1,240 +1,302 @@
-//! Serial forward/backward substitution on the combined LU factor.
+//! Serial forward/backward substitution on the **sweep layout**.
 //!
-//! The substitution kernels are width-generic over the lane layer
-//! ([`javelin_sparse::lanes`]): [`forward_lanes_inplace`] /
-//! [`backward_lanes_inplace`] retire every lane of a row before moving
-//! to the next row over a row-interleaved buffer (`(r, c) → r·k + c`).
-//! The classic scalar entry points [`forward_inplace`] /
-//! [`backward_inplace`] are the `FixedLanes<1>` instantiations — at
-//! width 1 a plain vector *is* the interleaved buffer, so the scalar
-//! path and the lane path are literally the same code, bit for bit.
+//! The numeric phase and the parallel engines work on the combined LU
+//! CSR (`usize` indices, L and U interleaved row by row). The serial
+//! engine instead streams a private copy of the factor arranged the way
+//! its two sweeps read it:
+//!
+//! * `SweepPattern`, built once per analysis and shared by every
+//!   factor object of it: strict-L rows in forward order, strict-U rows
+//!   in **descending** row order (so the backward sweep also walks
+//!   memory front to back), all with `u32` row pointers and column
+//!   indices, plus the permutation's `new_to_old` map as `u32`;
+//! * `SweepVals`, one per factor object: the L values, the U values
+//!   and the pivots in a separate array.
+//!
+//! Each sweep therefore touches only the half of the factor it needs,
+//! at 12 bytes per off-diagonal entry instead of 16. The permutation is
+//! folded into the sweeps: the forward sweep reads `b[new_to_old[r]]`
+//! directly and the backward sweep writes `x[new_to_old[r]]` as each row
+//! retires, so a solve makes two passes instead of four.
+//!
+//! The arithmetic is that of the parallel engines' row retirement: each
+//! row sums its off-diagonal products in ascending column order starting
+//! from zero, subtracts the sum from its right-hand side and, in U,
+//! divides by the pivot. The serial engine is therefore bit-identical to
+//! `BarrierLevel` and `PointToPoint`, which read the combined CSR, and to
+//! `PointToPointLower` except where that engine's tiled gather splits a
+//! trailing row's sum across tiles and so reassociates it.
 
-use javelin_sparse::lanes::{for_each_chunk, FixedLanes, Lanes, LANE_CHUNK};
-use javelin_sparse::{CsrMatrix, PanelMut, Scalar};
+use crate::symbolic_ilu::SymCore;
+use javelin_sparse::{Scalar, SparseError};
+use std::ops::Range;
 
-/// In-place lane-generic forward substitution `L·X = Y` with implicit
-/// unit diagonal over a row-interleaved `n × k` buffer: on entry `x`
-/// holds the right-hand sides, on exit the solutions. Lane `c` carries
-/// exactly the bits of a scalar [`forward_inplace`] run on that lane.
-pub fn forward_lanes_inplace<T: Scalar, L: Lanes>(
-    lanes: L,
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
+// The sweeps widen their `u32` indices with `as usize`.
+const _: () = assert!(usize::BITS >= 32);
+
+/// Converts a size or index of the factor storage to the sweep layout's
+/// `u32`, or reports which quantity does not fit.
+///
+/// # Errors
+/// [`SparseError::IndexOverflow`] when `value ≥ 2³²`.
+pub(crate) fn index_u32(value: usize, what: &'static str) -> Result<u32, SparseError> {
+    u32::try_from(value).map_err(|_| SparseError::IndexOverflow { what, value })
+}
+
+/// The pattern half of the sweep layout (see module docs).
+#[derive(Debug)]
+pub(crate) struct SweepPattern {
+    l_ptr: Vec<u32>,
+    l_col: Vec<u32>,
+    /// Slot `i` holds row `n - 1 - i`.
+    u_ptr: Vec<u32>,
+    u_col: Vec<u32>,
+    new_to_old: Vec<u32>,
+}
+
+impl SweepPattern {
+    /// Splits the combined LU pattern (`rowptr`, `colidx`, `diag_pos`,
+    /// permuted ordering) into the sweep layout.
+    ///
+    /// # Errors
+    /// [`SparseError::IndexOverflow`] when the dimension or the entry
+    /// count reaches 2³².
+    pub(crate) fn new(
+        rowptr: &[usize],
+        colidx: &[usize],
+        diag_pos: &[usize],
+        new_to_old: &[usize],
+    ) -> Result<Self, SparseError> {
+        let n = diag_pos.len();
+        index_u32(n, "n")?;
+        index_u32(colidx.len(), "nnz_lu")?;
+        let nnz_l: usize = (0..n).map(|r| diag_pos[r] - rowptr[r]).sum();
+        let nnz_u = colidx.len() - n - nnz_l;
+        let mut p = SweepPattern {
+            l_ptr: Vec::with_capacity(n + 1),
+            l_col: Vec::with_capacity(nnz_l),
+            u_ptr: Vec::with_capacity(n + 1),
+            u_col: Vec::with_capacity(nnz_u),
+            new_to_old: Vec::with_capacity(n),
+        };
+        p.l_ptr.push(0);
+        p.u_ptr.push(0);
+        for r in 0..n {
+            for &c in &colidx[rowptr[r]..diag_pos[r]] {
+                p.l_col.push(index_u32(c, "column")?);
+            }
+            p.l_ptr.push(index_u32(p.l_col.len(), "nnz_l")?);
+            let r_up = n - 1 - r;
+            for &c in &colidx[diag_pos[r_up] + 1..rowptr[r_up + 1]] {
+                p.u_col.push(index_u32(c, "column")?);
+            }
+            p.u_ptr.push(index_u32(p.u_col.len(), "nnz_u")?);
+            p.new_to_old.push(index_u32(new_to_old[r], "row")?);
+        }
+        Ok(p)
+    }
+
+    fn n(&self) -> usize {
+        self.new_to_old.len()
+    }
+
+    /// Position of row `r`'s strict-L entries in the L arrays.
+    fn l_range(&self, r: usize) -> Range<usize> {
+        self.l_ptr[r] as usize..self.l_ptr[r + 1] as usize
+    }
+
+    /// Position of row `r`'s strict-U entries in the U arrays.
+    fn u_range(&self, r: usize) -> Range<usize> {
+        let slot = self.n() - 1 - r;
+        self.u_ptr[slot] as usize..self.u_ptr[slot + 1] as usize
+    }
+}
+
+/// The value half of the sweep layout, one per factor object (see
+/// module docs).
+#[derive(Debug)]
+pub(crate) struct SweepVals<T> {
+    l: Vec<T>,
+    u: Vec<T>,
+    diag: Vec<T>,
+}
+
+impl<T: Scalar> SweepVals<T> {
+    /// All-zero values for `p`.
+    pub(crate) fn zeroed(p: &SweepPattern) -> Self {
+        SweepVals {
+            l: vec![T::ZERO; p.l_col.len()],
+            u: vec![T::ZERO; p.u_col.len()],
+            diag: vec![T::ZERO; p.n()],
+        }
+    }
+
+    /// Writes every factor value `get(e)` (`e` indexing the combined LU
+    /// arrays of `core`) into `lu` and into this layout, in one pass —
+    /// the commit of every numeric phase.
+    pub(crate) fn commit(&mut self, core: &SymCore<T>, get: impl Fn(usize) -> T, lu: &mut [T]) {
+        let p = &core.sweep;
+        for r in 0..core.n {
+            let (lo, d, hi) = (core.rowptr[r], core.diag_pos[r], core.rowptr[r + 1]);
+            for (e, v) in lu[lo..hi].iter_mut().enumerate() {
+                *v = get(lo + e);
+            }
+            self.l[p.l_range(r)].copy_from_slice(&lu[lo..d]);
+            self.diag[r] = lu[d];
+            self.u[p.u_range(r)].copy_from_slice(&lu[d + 1..hi]);
+        }
+    }
+}
+
+/// Forward substitution `L·y = rhs` with implicit unit diagonal; row
+/// `r`'s right-hand side is `rhs(r, y)`, read after the row's sum.
+#[inline(always)]
+fn forward<T: Scalar>(
+    p: &SweepPattern,
+    v: &SweepVals<T>,
+    y: &mut [T],
+    rhs: impl Fn(usize, &[T]) -> T,
+) {
+    for (r, w) in p.l_ptr.windows(2).enumerate() {
+        let (lo, hi) = (w[0] as usize, w[1] as usize);
+        let mut s = T::ZERO;
+        for (&lv, &c) in v.l[lo..hi].iter().zip(&p.l_col[lo..hi]) {
+            s += lv * y[c as usize];
+        }
+        y[r] = rhs(r, y) - s;
+    }
+}
+
+/// Backward substitution `U·y = y` in place; `retire(r, y_r)` sees
+/// each row's final value as the row retires.
+#[inline(always)]
+fn backward<T: Scalar>(
+    p: &SweepPattern,
+    v: &SweepVals<T>,
+    y: &mut [T],
+    mut retire: impl FnMut(usize, T),
+) {
+    let n = p.n();
+    for (slot, w) in p.u_ptr.windows(2).enumerate() {
+        let r = n - 1 - slot;
+        let (lo, hi) = (w[0] as usize, w[1] as usize);
+        let mut s = T::ZERO;
+        for (&uv, &c) in v.u[lo..hi].iter().zip(&p.u_col[lo..hi]) {
+            s += uv * y[c as usize];
+        }
+        let yr = (y[r] - s) / v.diag[r];
+        y[r] = yr;
+        retire(r, yr);
+    }
+}
+
+/// Solves `L·U·z = z` in place on an already-permuted buffer (the
+/// paper's Fig. 12 `stri` measurement, without permutation).
+pub(crate) fn solve_permuted_inplace<T: Scalar>(p: &SweepPattern, v: &SweepVals<T>, z: &mut [T]) {
+    forward(p, v, z, |r, z| z[r]);
+    backward(p, v, z, |_, _| {});
+}
+
+/// Solves `A·x ≈ b` in original ordering: the forward sweep gathers `b`
+/// through the permutation, the backward sweep scatters into `x`, and
+/// `y` (length `n`) holds the permuted intermediate.
+pub(crate) fn solve_fused<T: Scalar>(
+    p: &SweepPattern,
+    v: &SweepVals<T>,
+    b: &[T],
+    y: &mut [T],
     x: &mut [T],
 ) {
-    let vals = lu.vals();
-    let colidx = lu.colidx();
-    let k = lanes.width();
-    debug_assert_eq!(x.len(), lu.nrows() * k, "interleaved buffer size");
-    for r in 0..lu.nrows() {
-        for_each_chunk(0..k, |c0, cw| {
-            let mut sums = [T::ZERO; LANE_CHUNK];
-            for e in lu.rowptr()[r]..diag_pos[r] {
-                let v = vals[e];
-                let xb = lanes.idx(colidx[e], c0);
-                for (c, s) in sums[..cw].iter_mut().enumerate() {
-                    *s += v * x[xb + c];
-                }
-            }
-            let xb = lanes.idx(r, c0);
-            for (c, s) in sums[..cw].iter().enumerate() {
-                x[xb + c] -= *s;
-            }
-        });
-    }
-}
-
-/// In-place lane-generic backward substitution `U·X = Y` over a
-/// row-interleaved buffer (see [`forward_lanes_inplace`]).
-pub fn backward_lanes_inplace<T: Scalar, L: Lanes>(
-    lanes: L,
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
-    x: &mut [T],
-) {
-    let vals = lu.vals();
-    let colidx = lu.colidx();
-    let k = lanes.width();
-    debug_assert_eq!(x.len(), lu.nrows() * k, "interleaved buffer size");
-    for r in (0..lu.nrows()).rev() {
-        let d = vals[diag_pos[r]];
-        for_each_chunk(0..k, |c0, cw| {
-            let mut sums = [T::ZERO; LANE_CHUNK];
-            for e in (diag_pos[r] + 1)..lu.rowptr()[r + 1] {
-                let v = vals[e];
-                let xb = lanes.idx(colidx[e], c0);
-                for (c, s) in sums[..cw].iter_mut().enumerate() {
-                    *s += v * x[xb + c];
-                }
-            }
-            let xb = lanes.idx(r, c0);
-            for (c, s) in sums[..cw].iter().enumerate() {
-                x[xb + c] = (x[xb + c] - *s) / d;
-            }
-        });
-    }
-}
-
-/// In-place forward substitution `L·x = y` with implicit unit diagonal:
-/// on entry `x` holds `y`, on exit the solution. The `FixedLanes<1>`
-/// instantiation of [`forward_lanes_inplace`].
-pub fn forward_inplace<T: Scalar>(lu: &CsrMatrix<T>, diag_pos: &[usize], x: &mut [T]) {
-    forward_lanes_inplace(FixedLanes::<1>, lu, diag_pos, x);
-}
-
-/// In-place backward substitution `U·x = y`: on entry `x` holds `y`,
-/// on exit the solution. The `FixedLanes<1>` instantiation of
-/// [`backward_lanes_inplace`].
-pub fn backward_inplace<T: Scalar>(lu: &CsrMatrix<T>, diag_pos: &[usize], x: &mut [T]) {
-    backward_lanes_inplace(FixedLanes::<1>, lu, diag_pos, x);
-}
-
-/// Column-by-column panel forward substitution: the looped single-RHS
-/// reference every parallel panel engine is measured against. Column
-/// `c` is bit-identical to [`forward_inplace`] on that column.
-pub fn forward_panel_inplace<T: Scalar>(
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
-    x: &mut PanelMut<'_, T>,
-) {
-    for c in 0..x.ncols() {
-        forward_inplace(lu, diag_pos, x.col_mut(c));
-    }
-}
-
-/// Column-by-column panel backward substitution (see
-/// [`forward_panel_inplace`]).
-pub fn backward_panel_inplace<T: Scalar>(
-    lu: &CsrMatrix<T>,
-    diag_pos: &[usize],
-    x: &mut PanelMut<'_, T>,
-) {
-    for c in 0..x.ncols() {
-        backward_inplace(lu, diag_pos, x.col_mut(c));
-    }
+    let n2o = &p.new_to_old;
+    forward(p, v, y, |r, _| b[n2o[r] as usize]);
+    backward(p, v, y, |r, yr| x[n2o[r] as usize] = yr);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use javelin_sparse::CooMatrix;
+    use crate::{factorize, IluOptions, SolveEngine};
+    use javelin_sparse::{CooMatrix, CsrMatrix};
 
-    /// Combined LU with known triangular factors:
-    /// L = [[1,0],[0.5,1]], U = [[2,1],[0,3]] stored as one matrix.
-    fn lu2() -> (CsrMatrix<f64>, Vec<usize>) {
-        let mut coo = CooMatrix::new(2, 2);
-        coo.push(0, 0, 2.0).unwrap();
-        coo.push(0, 1, 1.0).unwrap();
-        coo.push(1, 0, 0.5).unwrap();
-        coo.push(1, 1, 3.0).unwrap();
-        let lu = coo.to_csr();
-        let dp = lu.diag_positions().unwrap();
-        (lu, dp)
-    }
-
-    #[test]
-    fn forward_unit_lower() {
-        let (lu, dp) = lu2();
-        let mut x = vec![2.0, 3.0];
-        forward_inplace(&lu, &dp, &mut x);
-        // x0 = 2; x1 = 3 - 0.5*2 = 2.
-        assert_eq!(x, vec![2.0, 2.0]);
-    }
-
-    #[test]
-    fn backward_upper() {
-        let (lu, dp) = lu2();
-        let mut x = vec![4.0, 6.0];
-        backward_inplace(&lu, &dp, &mut x);
-        // x1 = 6/3 = 2; x0 = (4 - 1*2)/2 = 1.
-        assert_eq!(x, vec![1.0, 2.0]);
-    }
-
-    #[test]
-    fn forward_then_backward_solves_lu_product() {
-        let (lu, dp) = lu2();
-        // Full matrix A = L*U = [[2,1],[1,3.5]].
-        let a = [vec![2.0, 1.0], vec![1.0, 3.5]];
-        let x_true = [1.5, -2.0];
-        let b: Vec<f64> = (0..2)
-            .map(|i| a[i][0] * x_true[0] + a[i][1] * x_true[1])
-            .collect();
-        let mut x = b;
-        forward_inplace(&lu, &dp, &mut x);
-        backward_inplace(&lu, &dp, &mut x);
-        assert!((x[0] - x_true[0]).abs() < 1e-12);
-        assert!((x[1] - x_true[1]).abs() < 1e-12);
-    }
-
-    #[test]
-    fn panel_substitution_matches_looped_columns() {
-        let (lu, dp) = lu2();
-        let cols = [vec![2.0, 3.0], vec![-1.0, 5.0], vec![0.5, 0.25]];
-        // Reference: one column at a time.
-        let mut want = Vec::new();
-        for c in &cols {
-            let mut x = c.clone();
-            forward_inplace(&lu, &dp, &mut x);
-            backward_inplace(&lu, &dp, &mut x);
-            want.push(x);
+    /// Textbook substitution over the combined LU CSR.
+    fn reference(lu: &CsrMatrix<f64>, dp: &[usize], z: &mut [f64]) {
+        let (rp, ci, v) = (lu.rowptr(), lu.colidx(), lu.vals());
+        for r in 0..lu.nrows() {
+            let s: f64 = (rp[r]..dp[r]).fold(0.0, |s, e| s + v[e] * z[ci[e]]);
+            z[r] -= s;
         }
-        // Panel: all three columns in one column-major block.
-        let mut data: Vec<f64> = cols.iter().flatten().copied().collect();
-        let mut p = PanelMut::new(&mut data, 2, 3);
-        forward_panel_inplace(&lu, &dp, &mut p);
-        backward_panel_inplace(&lu, &dp, &mut p);
-        for (c, w) in want.iter().enumerate() {
-            assert_eq!(p.col(c), w.as_slice(), "column {c}");
+        for r in (0..lu.nrows()).rev() {
+            let s: f64 = (dp[r] + 1..rp[r + 1]).fold(0.0, |s, e| s + v[e] * z[ci[e]]);
+            z[r] = (z[r] - s) / v[dp[r]];
         }
     }
 
-    #[test]
-    fn lane_substitution_matches_scalar_per_lane_bitwise() {
-        // The lane kernels on a row-interleaved buffer must reproduce,
-        // per lane, exactly the scalar substitution bits — for a fixed
-        // width, a dynamic width, and the degenerate width 1.
-        use javelin_sparse::lanes::DynLanes;
-        let (lu, dp) = lu2();
-        let n = lu.nrows();
-        let cols = [[2.0, 3.0], [-1.0, 5.0], [0.5, 0.25]];
-        let run = |fwd_bwd: &dyn Fn(&mut [f64])| {
-            let k = cols.len();
-            let mut x = vec![0.0; n * k];
-            for (c, col) in cols.iter().enumerate() {
-                for r in 0..n {
-                    x[r * k + c] = col[r];
-                }
+    /// Nonsymmetric, level-split-friendly fixture.
+    fn fixture(n: usize) -> CsrMatrix<f64> {
+        let mut coo = CooMatrix::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 5.0 + (i % 4) as f64).unwrap();
+            if i >= 1 {
+                coo.push(i, i - 1, -1.5).unwrap();
             }
-            fwd_bwd(&mut x);
-            x
-        };
-        let dynamic = run(&|x| {
-            forward_lanes_inplace(DynLanes(3), &lu, &dp, x);
-            backward_lanes_inplace(DynLanes(3), &lu, &dp, x);
-        });
-        for (c, col) in cols.iter().enumerate() {
-            let mut want = col.to_vec();
-            forward_inplace(&lu, &dp, &mut want);
-            backward_inplace(&lu, &dp, &mut want);
-            for r in 0..n {
-                assert_eq!(
-                    dynamic[r * 3 + c].to_bits(),
-                    want[r].to_bits(),
-                    "lane {c} row {r}"
-                );
+            if i >= 6 {
+                coo.push(i, i - 6, 0.25).unwrap();
+            }
+            if i + 3 < n {
+                coo.push(i, i + 3, -0.75).unwrap();
             }
         }
+        coo.to_csr()
     }
 
     #[test]
-    fn identity_is_noop() {
-        let lu = CsrMatrix::<f64>::identity(5);
-        let dp = lu.diag_positions().unwrap();
-        let mut x = vec![1.0, 2.0, 3.0, 4.0, 5.0];
-        let expect = x.clone();
-        forward_inplace(&lu, &dp, &mut x);
-        assert_eq!(x, expect);
-        backward_inplace(&lu, &dp, &mut x);
-        assert_eq!(x, expect);
+    fn sweeps_match_reference_substitution_bitwise() {
+        let a = fixture(60);
+        let f = factorize(&a, &IluOptions::ilu0(1).with_fill(1)).unwrap();
+        let n = f.n();
+        let b: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin() + 1.5).collect();
+
+        let mut want = f.perm().apply_vec(&b);
+        reference(f.lu(), f.diag_positions(), &mut want);
+        let mut z = f.perm().apply_vec(&b);
+        f.solve_permuted_inplace(SolveEngine::Serial, &mut z);
+        assert_eq!(z, want, "in-place sweeps");
+
+        let mut x = vec![0.0; n];
+        f.solve_with(SolveEngine::Serial, &b, &mut x).unwrap();
+        for (i, &o) in f.perm().new_to_old().iter().enumerate() {
+            assert_eq!(x[o].to_bits(), want[i].to_bits(), "fused sweep row {i}");
+        }
+    }
+
+    #[test]
+    fn u_rows_are_stored_in_descending_order() {
+        // Rows 0 and 1 of a 3×3 upper bidiagonal: row 2 has no strict-U
+        // entries, so slot 0 is empty and row 1 precedes row 0.
+        let rowptr = [0, 2, 4, 5];
+        let colidx = [0, 1, 1, 2, 2];
+        let diag_pos = [0, 2, 4];
+        let p = SweepPattern::new(&rowptr, &colidx, &diag_pos, &[2, 0, 1]).unwrap();
+        assert_eq!(p.u_ptr, vec![0, 0, 1, 2]);
+        assert_eq!(p.u_col, vec![2, 1]);
+        assert_eq!(p.u_range(1), 0..1);
+        assert_eq!(p.u_range(0), 1..2);
+        assert_eq!(p.l_ptr, vec![0, 0, 0, 0]);
+        assert_eq!(p.new_to_old, vec![2, 0, 1]);
+    }
+
+    #[test]
+    #[cfg(target_pointer_width = "64")]
+    fn index_conversion_boundary() {
+        let max = u32::MAX as usize;
+        assert_eq!(index_u32(max, "n"), Ok(u32::MAX));
+        assert_eq!(index_u32(0, "n"), Ok(0));
+        assert_eq!(
+            index_u32(max + 1, "nnz_lu"),
+            Err(SparseError::IndexOverflow {
+                what: "nnz_lu",
+                value: max + 1
+            })
+        );
     }
 }

@@ -67,6 +67,15 @@ pub enum SparseError {
         /// Absolute diagonal shift applied on the final attempt.
         shift: f64,
     },
+    /// A size or index does not fit the `u32` indices of a compact
+    /// internal storage layout (for instance the triangular-solve layout
+    /// of the ILU factors).
+    IndexOverflow {
+        /// The quantity that overflowed (e.g. `"n"` or `"nnz_lu"`).
+        what: &'static str,
+        /// Its value.
+        value: usize,
+    },
 }
 
 impl fmt::Display for SparseError {
@@ -105,6 +114,9 @@ impl fmt::Display for SparseError {
                 "factorization breakdown at row {row} after {attempts} attempt(s) \
                  (final diagonal shift {shift:e})"
             ),
+            SparseError::IndexOverflow { what, value } => {
+                write!(f, "{what} = {value} exceeds the u32 index range")
+            }
         }
     }
 }
@@ -144,6 +156,11 @@ mod tests {
         };
         assert!(e.to_string().contains("row 9"));
         assert!(e.to_string().contains("4 attempt"));
+        let e = SparseError::IndexOverflow {
+            what: "nnz_lu",
+            value: 7,
+        };
+        assert!(e.to_string().contains("nnz_lu = 7 exceeds the u32"));
     }
 
     #[test]

@@ -346,6 +346,78 @@ fn injected_batch_pivot_fault_is_contained_to_one_scenario_column() {
     fault::clear();
 }
 
+#[test]
+fn failed_refactor_leaves_serial_apply_bits_unchanged() {
+    use javelin::sparse::{Panel, PanelMut};
+    use javelin::synth::util::revalue;
+
+    let _g = scenario();
+    let a = healthy(96);
+    let n = a.nrows();
+    let k = 3usize;
+    let b: Vec<f64> = (0..n * k).map(|i| 1.0 + (i % 7) as f64 * 0.5).collect();
+    // Serial single-RHS and panel applies, as raw bits.
+    let serial_bits = |f: &javelin::core::IluFactors<f64>| {
+        let mut x = vec![0.0; n];
+        f.solve_with(SolveEngine::Serial, &b[..n], &mut x).unwrap();
+        let mut xp = vec![0.0; n * k];
+        f.solve_panel_with(
+            SolveEngine::Serial,
+            Panel::new(&b, n, k),
+            PanelMut::new(&mut xp, n, k),
+        )
+        .unwrap();
+        (bits(&x), bits(&xp))
+    };
+
+    for nthreads in [1usize, 2] {
+        let strict = IluOptions::ilu0(nthreads).with_zero_pivot(ZeroPivotPolicy::Error);
+        let sym = SymbolicIlu::analyze(&a, &strict).unwrap();
+        let mut f = sym.factor(&a).unwrap();
+        let before = serial_bits(&f);
+
+        // The fault lands mid-sweep: rows before it are already
+        // refactored in the numeric scratch when the pivot collapses.
+        fault::arm("numeric.pivot", FaultAction::Zero, 40);
+        assert!(
+            matches!(
+                f.refactor(&revalue(&a, 0.9, 0.2)),
+                Err(SparseError::ZeroPivot { .. })
+            ),
+            "nthreads {nthreads}: injected pivot must fail the refactor"
+        );
+        assert_eq!(
+            serial_bits(&f),
+            before,
+            "nthreads {nthreads}: failed refactor changed the serial apply"
+        );
+
+        // Same for a batch lane: the failed scenario keeps its previous
+        // sweep values while its neighbours commit new ones.
+        let corners: Vec<CsrMatrix<f64>> = (0..k)
+            .map(|c| revalue(&a, 0.3 + c as f64 * 0.77, 0.05))
+            .collect();
+        let mats: Vec<&CsrMatrix<f64>> = corners.iter().collect();
+        let mut batch = sym.factor_batch(&mats).unwrap();
+        let lanes_before: Vec<_> = batch.factors().iter().map(serial_bits).collect();
+        let next: Vec<CsrMatrix<f64>> = corners.iter().map(|m| revalue(m, 1.7, 0.1)).collect();
+        let next_refs: Vec<&CsrMatrix<f64>> = next.iter().collect();
+        fault::arm("numeric.pivot", FaultAction::Zero, 40);
+        batch.refactor_batch(&next_refs).unwrap();
+        let failed: Vec<usize> = (0..k).filter(|&c| batch.statuses()[c].is_err()).collect();
+        assert_eq!(failed.len(), 1, "nthreads {nthreads}: one scenario fails");
+        for c in 0..k {
+            let now = serial_bits(batch.factor(c));
+            if failed.contains(&c) {
+                assert_eq!(now, lanes_before[c], "failed scenario {c} changed");
+            } else {
+                assert_ne!(now, lanes_before[c], "scenario {c} did not commit");
+            }
+        }
+    }
+    fault::clear();
+}
+
 const ENGINES: [SolveEngine; 3] = [
     SolveEngine::BarrierLevel,
     SolveEngine::PointToPoint,

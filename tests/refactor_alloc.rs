@@ -8,7 +8,9 @@
 //! threads are counted too, which is the point: the planned numeric
 //! path must not allocate on any thread).
 
-use javelin::core::{IluOptions, SymbolicIlu, ZeroPivotPolicy};
+use javelin::core::{
+    ApplyScratch, IluFactors, IluOptions, Preconditioner, SolveEngine, SymbolicIlu, ZeroPivotPolicy,
+};
 use javelin::solver::{gmres_batch_into, SolverOptions, SolverResult, SolverWorkspace};
 use javelin::sparse::{CooMatrix, CsrMatrix, Panel, PanelMut, SparseError};
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -408,4 +410,68 @@ fn steady_state_refactor_allocates_zero_bytes() {
         0,
         "pinned refactor+solve allocated bytes"
     );
+
+    // ---- Phase 7: the serial engine's sweeps (split L/U layout, ----
+    // permutation folded in) apply allocation-free through the
+    // caller's `ApplyScratch`, single vectors and panels alike, after a
+    // `refactor` and after a `refactor_batch` — the commit that writes
+    // the sweep values reuses their storage too.
+    let k7 = 4usize;
+    let r7: Vec<f64> = (0..n6 * k7).map(|i| (i as f64 * 0.23).sin()).collect();
+    let mut z7 = vec![0.0; n6 * k7];
+    let mut scratch7 = ApplyScratch::new();
+    let mut serial_applies = |f: &IluFactors<f64>, scratch: &mut ApplyScratch<f64>| {
+        let p = f.with_engine(SolveEngine::Serial);
+        p.apply_with(scratch, &r7[..n6], &mut z7[..n6]);
+        p.apply_panel_with(
+            scratch,
+            Panel::new(&r7, n6, k7),
+            PanelMut::new(&mut z7, n6, k7),
+        );
+    };
+    let mut z7b = vec![0.0; n6 * k7];
+    serial_applies(&f6, &mut scratch7);
+    for round in 0..3 {
+        let a7 = revalue(&a6, 6.1 + round as f64);
+        f6.refactor(&a7).expect("refactor before serial applies");
+        let (allocs_mid, bytes_mid) = snapshot();
+        serial_applies(&f6, &mut scratch7);
+        let (allocs_after, bytes_after) = snapshot();
+        assert_eq!(
+            (allocs_after - allocs_mid, bytes_after - bytes_mid),
+            (0, 0),
+            "round {round}: serial applies after refactor allocated"
+        );
+    }
+    let corners7: Vec<CsrMatrix<f64>> = (0..k7)
+        .map(|c| revalue(&a6, 0.5 + c as f64 * 0.77))
+        .collect();
+    let mats7: Vec<&CsrMatrix<f64>> = corners7.iter().collect();
+    let mut batch7 = sym6
+        .factor_batch(&mats7)
+        .expect("batch factor (serial applies)");
+    serial_applies(batch7.factor(0), &mut scratch7);
+    for round in 0..3 {
+        let corners_t: Vec<CsrMatrix<f64>> = (0..k7)
+            .map(|c| revalue(&a6, 7.3 + round as f64 + c as f64 * 0.77))
+            .collect();
+        let mats_t: Vec<&CsrMatrix<f64>> = corners_t.iter().collect();
+        batch7.refactor_batch(&mats_t).expect("refactor_batch");
+        assert!(batch7.all_ok(), "round {round}");
+        let (allocs_mid, bytes_mid) = snapshot();
+        for f in batch7.factors() {
+            serial_applies(f, &mut scratch7);
+        }
+        batch7.precond(SolveEngine::Serial).apply_panel_with(
+            &mut scratch7,
+            Panel::new(&r7, n6, k7),
+            PanelMut::new(&mut z7b, n6, k7),
+        );
+        let (allocs_after, bytes_after) = snapshot();
+        assert_eq!(
+            (allocs_after - allocs_mid, bytes_after - bytes_mid),
+            (0, 0),
+            "round {round}: serial applies after refactor_batch allocated"
+        );
+    }
 }
