@@ -5,8 +5,8 @@
 //! (the scenario corners of a parameter sweep) into a [`FactorsBatch`]:
 //! `k` independent [`IluFactors`] produced by a single pass of the
 //! numeric engines in which the level-schedule / point-to-point walk,
-//! the counter resets, the team regions and the per-row
-//! sparse-accumulator loads are shared, and only the per-entry
+//! the counter resets, the team regions and the per-row pattern walk
+//! (update-plan hits or the fallback scan) are shared, and only the per-entry
 //! arithmetic loops over the `k` value-sets (through the
 //! [`Lanes`](javelin_sparse::lanes::Lanes) layer — see
 //! [`crate::numeric::batch`]). [`FactorsBatch::refactor_batch`] redoes
@@ -111,7 +111,7 @@ impl<T: Scalar> SymbolicIlu<T> {
             .map(|_| {
                 let mut vals = vec![T::ZERO; nnz];
                 let mut sweep = SweepVals::zeroed(&c.sweep);
-                sweep.commit(c, |e| seed_vals[e], &mut vals);
+                sweep.commit(c, &seed_vals, 1, 0, &mut vals);
                 let lu = CsrMatrix::from_raw_unchecked(
                     c.n,
                     c.n,
@@ -275,7 +275,7 @@ impl<T: Scalar> FactorsBatch<T> {
                     c,
                     &mut num,
                     k,
-                    lu_vals,
+                    &*lu_vals,
                     drop_thresh,
                     replaced,
                     dropped,
@@ -316,11 +316,12 @@ impl<T: Scalar> FactorsBatch<T> {
         // its factor object and complete its statistics; failed
         // scenarios keep the previous factorization.
         let t_numeric = t2.elapsed();
+        let src = lu_vals.as_mut_slice();
         for lane in 0..k {
             if statuses[lane].is_err() {
                 continue;
             }
-            factors[lane].commit(|e| lu_vals.get(e * k + lane));
+            factors[lane].commit(src, k, lane);
             let stats = factors[lane].stats_mut();
             stats.replaced_pivots = replaced[lane].load(Ordering::Relaxed);
             stats.dropped_entries = dropped[lane].load(Ordering::Relaxed);
@@ -339,16 +340,18 @@ impl<T: Scalar> FactorsBatch<T> {
 fn load_batch<T: Scalar>(
     c: &SymCore<T>,
     k: usize,
-    lu_vals: &LuVals<T>,
+    lu_vals: &mut LuVals<T>,
     drop_thresh: &mut [T],
     mats: &[&CsrMatrix<T>],
 ) {
-    for (e, &src) in c.a_src.iter().enumerate() {
-        for (lane, a) in mats.iter().enumerate() {
-            lu_vals.set(
-                e * k + lane,
-                if src == FILL { T::ZERO } else { a.vals()[src] },
-            );
+    let dst = lu_vals.as_mut_slice().chunks_exact_mut(k);
+    for (lanes, &src) in dst.zip(&c.a_src) {
+        for (v, a) in lanes.iter_mut().zip(mats) {
+            *v = if src == FILL {
+                T::ZERO
+            } else {
+                a.vals()[src as usize]
+            };
         }
     }
     if c.opts.drop_tol > 0.0 {
@@ -419,6 +422,7 @@ fn run_batch_engines<T: Scalar>(
         rowptr: &c.rowptr,
         colidx: &c.colidx,
         diag_pos: &c.diag_pos,
+        plan: c.update_plan.as_ref(),
         vals: lu_vals,
         drop_thresh,
         milu_omega: T::from_f64(c.opts.milu_omega),

@@ -180,11 +180,12 @@ impl<T: Scalar> IluFactors<T> {
         )
     }
 
-    /// Commits factor value `get(e)` for every combined-LU entry `e` —
+    /// Commits lane `lane` of the `k`-interleaved value buffer `src` —
     /// the batched-refactor path (`crate::batch_factor`) de-interleaves
     /// scenario lanes through it.
-    pub(crate) fn commit(&mut self, get: impl Fn(usize) -> T) {
-        self.sweep.commit(self.sym.core(), get, self.lu.vals_mut());
+    pub(crate) fn commit(&mut self, src: &[T], k: usize, lane: usize) {
+        self.sweep
+            .commit(self.sym.core(), src, k, lane, self.lu.vals_mut());
     }
 
     /// Mutable statistics — completed per scenario by the batched

@@ -6,7 +6,7 @@
 //! *pattern-identical* matrices. Factoring them one by one repeats the
 //! part that does not depend on the values at all: the level-schedule
 //! walk, the point-to-point waits, the counter resets, the team
-//! regions and the per-row sparse-accumulator loads. The batch kernels
+//! regions and the per-row pattern walk. The batch kernels
 //! here run that pattern machinery **once** and loop the per-row
 //! arithmetic over the `k` value-sets through the
 //! [`Lanes`] layer — `FixedLanes<K>`
@@ -28,7 +28,8 @@
 
 #![allow(unsafe_code)] // LuVals row views; protocol documented in kernel.rs.
 
-use crate::numeric::kernel::{LuVals, RowWorkspace};
+use crate::numeric::kernel::{l_window, LuVals, RowWorkspace};
+use crate::numeric::plan::{updates, UpdatePlan};
 use crate::options::ZeroPivotPolicy;
 use javelin_level::P2PSchedule;
 use javelin_sparse::lanes::{lane_fnma, Lanes};
@@ -47,6 +48,9 @@ pub struct BatchNumericCtx<'a, T: Scalar> {
     pub colidx: &'a [usize],
     /// Diagonal entry position of each row.
     pub diag_pos: &'a [usize],
+    /// The pattern's update plan (`None` above its size rule; see
+    /// [`crate::numeric::plan`]).
+    pub plan: Option<&'a UpdatePlan>,
     /// Interleaved bit-packed values: scenario `c` of entry `e` at
     /// `e·k + c`.
     pub vals: &'a LuVals<T>,
@@ -86,40 +90,36 @@ impl<'a, T: Scalar> BatchNumericCtx<'a, T> {
 /// Batched [`eliminate_columns`](crate::numeric::kernel::eliminate_columns):
 /// the up-looking elimination steps of row `r` restricted to the column
 /// window, with the per-entry arithmetic looped over the `k` scenario
-/// lanes. The pattern walk (entry scan, window clipping, U-row
-/// traversal, `ws` lookups) runs once and serves every lane; within a
-/// lane the operations follow exactly the scalar kernel's order.
+/// lanes. The pattern walk (window clipping, the plan's hits or the
+/// fallback scan through `ws`) runs once and serves every lane; within
+/// a lane the operations follow exactly the scalar kernel's order.
 #[inline]
 pub fn eliminate_columns_lanes<T: Scalar, L: Lanes>(
     lanes: L,
     ctx: &BatchNumericCtx<'_, T>,
-    ws: &RowWorkspace,
+    ws: &mut RowWorkspace,
     r: usize,
     col_lo: usize,
     col_hi: usize,
 ) {
     let k = lanes.width();
-    let hi = col_hi.min(r);
     let dropping = !ctx.drop_thresh.is_empty();
     let erange = ctx.row_range(r);
     let base = erange.start;
+    let window = l_window(ctx.rowptr, ctx.colidx, ctx.diag_pos, r, col_lo, col_hi);
+    if ctx.plan.is_none() {
+        ws.load_row(ctx.rowptr, ctx.colidx, r);
+    }
     // Safety: the batch engines call this only while row `r` is
     // exclusively owned by this worker (between its ready- and
     // retire-signal), so its `k` interleaved lanes are private.
     let vr = unsafe { ctx.vals.view_mut(base * k..erange.end * k) };
-    for e in erange {
-        let c = ctx.colidx[e];
-        if c >= hi {
-            break;
-        }
-        if c < col_lo {
-            continue;
-        }
-        let dp = ctx.diag_pos[c];
-        let u_hi = ctx.rowptr[c + 1];
+    for e in window {
+        let (piv, ups) = updates(ctx.plan, ws, ctx.rowptr, ctx.colidx, ctx.diag_pos, r, e);
         // Safety: row `c < r` is finalized, hence quiescent; its lanes
-        // (diagonal included) are read-only for the rest of the run.
-        let uc = unsafe { ctx.vals.view(dp * k..u_hi * k) };
+        // from the pivot through the last U entry the updates read are
+        // read-only for the rest of the run.
+        let uc = unsafe { ctx.vals.view(piv * k..(piv + ups.span()) * k) };
         let le = (e - base) * k;
         if dropping {
             // τ-dropping is per-lane control flow (each lane decides
@@ -136,17 +136,12 @@ pub fn eliminate_columns_lanes<T: Scalar, L: Lanes>(
                 }
                 vr[le + lane] = l;
                 // a[r, j] -= l * u[c, j] for every j > c stored in both rows.
-                for (off, kk) in ((dp + 1)..u_hi).enumerate() {
-                    let j = ctx.colidx[kk];
-                    if let Some(p) = ws.entry_of(j) {
-                        vr[(p - base) * k + lane] -= l * uc[(off + 1) * k + lane];
-                    }
-                }
+                ups.for_each(|u, p| vr[p * k + lane] -= l * uc[u * k + lane]);
             }
         } else {
             // Fused path: no lane can drop, so compute every lane's
-            // multiplier first, then retire the update sweep one entry
-            // at a time through the k-lane `lane_fnma` micro-op.
+            // multiplier first, then retire the updates one entry at a
+            // time through the k-lane `lane_fnma` micro-op.
             // Entry-major vs lane-major is bit-identical: each
             // (entry, lane) location is updated exactly once per
             // eliminated column, in the same per-location order, with
@@ -161,18 +156,10 @@ pub fn eliminate_columns_lanes<T: Scalar, L: Lanes>(
             for (lv, &piv) in lrow.iter_mut().zip(&uc[..k]) {
                 *lv /= piv;
             }
-            for (off, kk) in ((dp + 1)..u_hi).enumerate() {
-                let j = ctx.colidx[kk];
-                if let Some(p) = ws.entry_of(j) {
-                    let pe = (p - base) * k - (le + k);
-                    lane_fnma(
-                        lanes,
-                        lrow,
-                        &uc[(off + 1) * k..(off + 2) * k],
-                        &mut tail[pe..pe + k],
-                    );
-                }
-            }
+            ups.for_each(|u, p| {
+                let pe = p * k - (le + k);
+                lane_fnma(lanes, lrow, &uc[u * k..(u + 1) * k], &mut tail[pe..pe + k]);
+            });
         }
     }
 }
@@ -233,7 +220,7 @@ pub fn finalize_row_lanes<T: Scalar, L: Lanes>(lanes: L, ctx: &BatchNumericCtx<'
 }
 
 /// Batched serial up-looking factorization of rows `lo..hi` against
-/// columns `col_lo..` — one `load_row` per row serves all `k` lanes.
+/// columns `col_lo..` — one pattern walk per row serves all `k` lanes.
 pub fn factor_batch_rows_serial_ws<T: Scalar, L: Lanes>(
     lanes: L,
     ctx: &BatchNumericCtx<'_, T>,
@@ -244,7 +231,6 @@ pub fn factor_batch_rows_serial_ws<T: Scalar, L: Lanes>(
 ) {
     let n = ctx.rowptr.len() - 1;
     for r in lo..hi {
-        ws.load_row(ctx.rowptr, ctx.colidx, r);
         eliminate_columns_lanes(lanes, ctx, ws, r, col_lo, n);
         finalize_row_lanes(lanes, ctx, r);
     }
@@ -264,7 +250,7 @@ pub fn factor_batch_serial_ws<T: Scalar, L: Lanes>(
 /// Batched
 /// [`factor_upper_p2p_planned`](crate::numeric::parallel::factor_upper_p2p_planned):
 /// the point-to-point upper stage on pre-built execution state, with
-/// every row's waits, workspace load and release-bump performed once
+/// every row's waits, pattern walk and release-bump performed once
 /// for all `k` scenario lanes — the walk amortization of the batch. A
 /// zero-allocation, zero-spawn region on the persistent team.
 pub fn factor_batch_upper_p2p_planned<T: Scalar, L: Lanes>(
@@ -296,8 +282,7 @@ pub fn factor_batch_upper_p2p_planned<T: Scalar, L: Lanes>(
         let mut ws = workspaces[tid].lock();
         for &row in schedule.thread_tasks(tid) {
             progress.wait_all(schedule.waits(row));
-            ws.load_row(ctx.rowptr, ctx.colidx, row);
-            eliminate_columns_lanes(lanes, ctx, &ws, row, 0, n);
+            eliminate_columns_lanes(lanes, ctx, &mut ws, row, 0, n);
             finalize_row_lanes(lanes, ctx, row);
             progress.bump(tid);
         }
@@ -308,7 +293,7 @@ pub fn factor_batch_upper_p2p_planned<T: Scalar, L: Lanes>(
 /// [`factor_lower_er_planned`](crate::numeric::lower::factor_lower_er_planned):
 /// the Even-Rows `FACTOR_L` sweep over trailing rows as one region on
 /// the persistent team, then the serial corner — all `k` lanes retired
-/// per row under one chunking and one workspace load.
+/// per row under one chunking and one pattern walk.
 pub fn factor_batch_lower_er_planned<T: Scalar, L: Lanes>(
     lanes: L,
     ctx: &BatchNumericCtx<'_, T>,
@@ -332,9 +317,7 @@ pub fn factor_batch_lower_er_planned<T: Scalar, L: Lanes>(
         }
         let mut ws = workspaces[tid].lock();
         for off in start..end {
-            let r = n_upper + off;
-            ws.load_row(ctx.rowptr, ctx.colidx, r);
-            eliminate_columns_lanes(lanes, ctx, &ws, r, 0, n_upper);
+            eliminate_columns_lanes(lanes, ctx, &mut ws, n_upper + off, 0, n_upper);
         }
     });
     factor_batch_rows_serial_ws(lanes, ctx, n_upper, n, n_upper, &mut workspaces[0].lock());
@@ -377,6 +360,7 @@ mod tests {
             rowptr: &rowptr,
             colidx: &colidx,
             diag_pos: &diag_pos,
+            plan: None,
             vals: &vals,
             drop_thresh: &[],
             milu_omega: 0.0,
@@ -388,48 +372,56 @@ mod tests {
         };
         let mut ws = RowWorkspace::new(4);
         for r in 0..4 {
-            ws.load_row(&rowptr, &colidx, r);
-            eliminate_columns(&ctx, &ws, r, 0, 4);
+            eliminate_columns(&ctx, &mut ws, r, 0, 4);
             finalize_row(&ctx, r);
         }
         vals.into_values().iter().map(|v| v.to_bits()).collect()
     }
 
+    /// Runs the batch serially, with the update plan and through the
+    /// scanning fallback; the two must agree bit for bit.
     fn run_batch<L: Lanes>(lanes: L, scenarios: &[Vec<f64>]) -> Vec<Vec<u64>> {
         let k = lanes.width();
         assert_eq!(scenarios.len(), k);
         let (rowptr, colidx, diag_pos, _) = dense4(1.0);
+        let plan = UpdatePlan::build(&rowptr, &colidx, &diag_pos, usize::MAX).unwrap();
         let nnz = colidx.len();
-        let vals = LuVals::<f64>::zeroed(nnz * k);
-        for (c, s) in scenarios.iter().enumerate() {
-            for (e, v) in s.iter().enumerate() {
-                vals.set(e * k + c, *v);
+        let run = |plan: Option<&UpdatePlan>| {
+            let vals = LuVals::<f64>::zeroed(nnz * k);
+            for (c, s) in scenarios.iter().enumerate() {
+                for (e, v) in s.iter().enumerate() {
+                    vals.set(e * k + c, *v);
+                }
             }
-        }
-        let replaced: Vec<AtomicUsize> = (0..k).map(|_| AtomicUsize::new(0)).collect();
-        let dropped: Vec<AtomicUsize> = (0..k).map(|_| AtomicUsize::new(0)).collect();
-        let failed: Vec<AtomicUsize> = (0..k).map(|_| AtomicUsize::new(usize::MAX)).collect();
-        let ctx = BatchNumericCtx {
-            rowptr: &rowptr,
-            colidx: &colidx,
-            diag_pos: &diag_pos,
-            vals: &vals,
-            drop_thresh: &[],
-            milu_omega: 0.0,
-            pivot_threshold: 1e-14,
-            zero_pivot: ZeroPivotPolicy::Error,
-            replaced: &replaced,
-            dropped: &dropped,
-            failed_row: &failed,
+            let replaced: Vec<AtomicUsize> = (0..k).map(|_| AtomicUsize::new(0)).collect();
+            let dropped: Vec<AtomicUsize> = (0..k).map(|_| AtomicUsize::new(0)).collect();
+            let failed: Vec<AtomicUsize> = (0..k).map(|_| AtomicUsize::new(usize::MAX)).collect();
+            let ctx = BatchNumericCtx {
+                rowptr: &rowptr,
+                colidx: &colidx,
+                diag_pos: &diag_pos,
+                plan,
+                vals: &vals,
+                drop_thresh: &[],
+                milu_omega: 0.0,
+                pivot_threshold: 1e-14,
+                zero_pivot: ZeroPivotPolicy::Error,
+                replaced: &replaced,
+                dropped: &dropped,
+                failed_row: &failed,
+            };
+            let mut ws = RowWorkspace::new(if plan.is_some() { 0 } else { 4 });
+            factor_batch_serial_ws(lanes, &ctx, &mut ws);
+            for f in &failed {
+                assert_eq!(f.load(Ordering::Relaxed), usize::MAX);
+            }
+            (0..k)
+                .map(|c| (0..nnz).map(|e| vals.get(e * k + c).to_bits()).collect())
+                .collect::<Vec<Vec<u64>>>()
         };
-        let mut ws = RowWorkspace::new(4);
-        factor_batch_serial_ws(lanes, &ctx, &mut ws);
-        for f in &failed {
-            assert_eq!(f.load(Ordering::Relaxed), usize::MAX);
-        }
-        (0..k)
-            .map(|c| (0..nnz).map(|e| vals.get(e * k + c).to_bits()).collect())
-            .collect()
+        let scanned = run(None);
+        assert_eq!(run(Some(&plan)), scanned, "planned vs scanned");
+        scanned
     }
 
     #[test]
@@ -485,6 +477,7 @@ mod tests {
             rowptr: &rowptr,
             colidx: &colidx,
             diag_pos: &diag_pos,
+            plan: None,
             vals: &vals,
             drop_thresh: &[],
             milu_omega: 0.0,

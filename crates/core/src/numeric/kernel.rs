@@ -33,6 +33,7 @@
 
 #![allow(unsafe_code)] // LuVals views; soundness argument in the module docs above.
 
+use crate::numeric::plan::updates;
 use crate::numeric::NumericCtx;
 use crate::options::ZeroPivotPolicy;
 use javelin_sparse::Scalar;
@@ -123,16 +124,6 @@ impl<T: Scalar> LuVals<T> {
         LuVals { cells }
     }
 
-    /// Overwrites every entry from `vals` (lengths must match). Caller
-    /// must guarantee quiescence; used to load a reused workspace
-    /// buffer without reallocating.
-    pub fn load_from(&self, vals: &[T]) {
-        assert_eq!(vals.len(), self.cells.len(), "LuVals::load_from length");
-        for (i, &v) in vals.iter().enumerate() {
-            self.set(i, v);
-        }
-    }
-
     /// Number of entries.
     pub fn len(&self) -> usize {
         self.cells.len()
@@ -166,9 +157,12 @@ impl<T: Scalar> LuVals<T> {
     /// No entry in `range` may be written by any thread for the
     /// lifetime of the returned slice (the entries must be finalized or
     /// otherwise quiescent under the row-ownership protocol).
+    ///
+    /// # Panics
+    /// When `range` is not within the buffer.
     #[inline(always)]
     pub unsafe fn view(&self, range: Range<usize>) -> &[T] {
-        debug_assert!(range.end <= self.cells.len());
+        assert!(range.start <= range.end && range.end <= self.cells.len());
         std::slice::from_raw_parts(
             self.cells.as_ptr().cast::<T>().add(range.start),
             range.len(),
@@ -182,14 +176,26 @@ impl<T: Scalar> LuVals<T> {
     /// lifetime of the returned slice: no other thread may read *or*
     /// write them (the row-ownership window between a row's ready- and
     /// retire-signal).
+    ///
+    /// # Panics
+    /// When `range` is not within the buffer.
     #[inline(always)]
     #[allow(clippy::mut_from_ref)] // checked-out row ownership; see Safety
     pub unsafe fn view_mut(&self, range: Range<usize>) -> &mut [T] {
-        debug_assert!(range.end <= self.cells.len());
+        assert!(range.start <= range.end && range.end <= self.cells.len());
         std::slice::from_raw_parts_mut(
             self.cells.as_ptr().cast::<T>().cast_mut().add(range.start),
             range.len(),
         )
+    }
+
+    /// All values as one exclusive slice. Safe: `&mut self` rules out
+    /// any concurrent access.
+    pub fn as_mut_slice(&mut self) -> &mut [T] {
+        let len = self.cells.len();
+        // Safety: `&mut self` is exclusive, and `ValCell<T>` is
+        // `repr(transparent)` over `T`.
+        unsafe { self.view_mut(0..len) }
     }
 
     /// Unpacks into a plain vector.
@@ -198,96 +204,124 @@ impl<T: Scalar> LuVals<T> {
     }
 }
 
-/// Per-thread sparse-accumulator workspace: an epoch-stamped map from
-/// column to entry index of the currently loaded row. Loading is O(row
-/// length); clearing is free (epoch bump).
+/// Per-thread sparse-accumulator workspace: a stamped map from column to
+/// offset in the currently loaded row. Loading is O(row length);
+/// clearing is free (stamp bump).
+///
+/// The numeric phase needs it only for patterns above the update
+/// plan's size rule ([`crate::numeric::plan`]); with a plan, workspaces
+/// are built empty ([`RowWorkspace::new`] of 0).
 pub struct RowWorkspace {
-    pos: Vec<usize>,
-    epoch: Vec<u64>,
-    cur: u64,
+    /// Per column: `stamp << 32 | offset` — one load per lookup.
+    mark: Vec<u64>,
+    /// Stamp of the loaded row, in `1..=u32::MAX`.
+    stamp: u64,
 }
 
 impl RowWorkspace {
     /// Workspace for matrices of dimension `n`.
     pub fn new(n: usize) -> Self {
         RowWorkspace {
-            pos: vec![0; n],
-            epoch: vec![0; n],
-            cur: 0,
+            mark: vec![0; n],
+            stamp: 0,
         }
     }
 
-    /// Loads the column→entry map of row `r`.
+    /// Loads the column→offset map of row `r`.
     #[inline]
     pub fn load_row(&mut self, rowptr: &[usize], colidx: &[usize], r: usize) {
-        self.cur += 1;
-        for k in rowptr[r]..rowptr[r + 1] {
-            let c = colidx[k];
-            self.pos[c] = k;
-            self.epoch[c] = self.cur;
+        if self.stamp == u64::from(u32::MAX) {
+            // Stamps wrap: forget every old row once per 2³² loads.
+            self.mark.fill(0);
+            self.stamp = 0;
+        }
+        self.stamp += 1;
+        for (off, &c) in colidx[rowptr[r]..rowptr[r + 1]].iter().enumerate() {
+            // Row offsets are below the entry count, which analysis
+            // keeps under 2³².
+            self.mark[c] = self.stamp << 32 | off as u64;
         }
     }
 
-    /// Entry index of column `c` in the loaded row, if present.
+    /// Offset of column `c` in the loaded row, if present.
     #[inline(always)]
     pub fn entry_of(&self, c: usize) -> Option<usize> {
-        (self.epoch[c] == self.cur).then(|| self.pos[c])
+        let m = self.mark[c];
+        (m >> 32 == self.stamp).then_some(m as u32 as usize)
     }
+}
+
+/// Entries of row `r`'s strict-L part whose column lies in
+/// `col_lo..col_hi`.
+#[inline]
+pub(crate) fn l_window(
+    rowptr: &[usize],
+    colidx: &[usize],
+    diag_pos: &[usize],
+    r: usize,
+    col_lo: usize,
+    col_hi: usize,
+) -> Range<usize> {
+    let lo = rowptr[r];
+    let cols = &colidx[lo..diag_pos[r]];
+    let a = if col_lo == 0 {
+        0
+    } else {
+        cols.partition_point(|&c| c < col_lo)
+    };
+    let b = if col_hi >= r {
+        cols.len()
+    } else {
+        cols.partition_point(|&c| c < col_hi)
+    };
+    lo + a..lo + b
 }
 
 /// Processes the L-columns of row `r` with `col_lo <= c < min(col_hi, r)`
 /// — the up-looking elimination steps of the paper's Fig. 1, restricted
 /// to a column window so the two-stage engines can split a row's work.
 ///
-/// Requires `ws` to hold row `r` (see [`RowWorkspace::load_row`]) and
-/// every row `c` in the window to be finalized. The caller must own row
-/// `r` exclusively (all engines call this only inside the row's
+/// Each L-entry's updates come from the context's update plan, or, for
+/// patterns above its size rule, from a scan through `ws` (loaded here).
+/// Requires every row `c` in the window to be finalized. The caller must
+/// own row `r` exclusively (all engines call this only inside the row's
 /// ownership window; tiles that share a row use their own subrange
 /// kernels instead).
 #[inline]
 pub fn eliminate_columns<T: Scalar>(
     ctx: &NumericCtx<'_, T>,
-    ws: &RowWorkspace,
+    ws: &mut RowWorkspace,
     r: usize,
     col_lo: usize,
     col_hi: usize,
 ) {
-    let hi = col_hi.min(r);
     let dropping = !ctx.drop_thresh.is_empty();
     let range = ctx.row_range(r);
     let base = range.start;
+    let window = l_window(ctx.rowptr, ctx.colidx, ctx.diag_pos, r, col_lo, col_hi);
+    if ctx.plan.is_none() {
+        ws.load_row(ctx.rowptr, ctx.colidx, r);
+    }
     // Safety: row `r` is exclusively owned by this worker between its
     // ready- and retire-signal (function contract above).
-    let vr = unsafe { ctx.vals.view_mut(range.clone()) };
-    let cols = &ctx.colidx[range];
-    for (kr, &c) in cols.iter().enumerate() {
-        if c >= hi {
-            break;
-        }
-        if c < col_lo {
-            continue;
-        }
-        let piv = ctx.vals.get(ctx.diag_pos[c]);
-        let l = vr[kr] / piv;
+    let vr = unsafe { ctx.vals.view_mut(range) };
+    for e in window {
+        let (piv, ups) = updates(ctx.plan, ws, ctx.rowptr, ctx.colidx, ctx.diag_pos, r, e);
+        // Safety: row `c < r` is finalized (function contract), hence
+        // quiescent for the remainder of the factorization; the view
+        // spans its pivot through the last U entry the updates read.
+        let uc = unsafe { ctx.vals.view(piv..piv + ups.span()) };
+        let l = vr[e - base] / uc[0];
         if dropping && l.abs() < ctx.drop_thresh[r] {
             // Treat as zero immediately: skip the update sweep. The
             // position stays in the pattern so schedules remain valid.
-            vr[kr] = T::ZERO;
+            vr[e - base] = T::ZERO;
             ctx.dropped.fetch_add(1, Ordering::Relaxed);
             continue;
         }
-        vr[kr] = l;
+        vr[e - base] = l;
         // a[r, j] -= l * u[c, j] for every j > c stored in both rows.
-        let u_lo = ctx.diag_pos[c] + 1;
-        // Safety: row `c < r` is finalized (function contract), hence
-        // quiescent for the remainder of the factorization.
-        let uc = unsafe { ctx.vals.view(u_lo..ctx.rowptr[c + 1]) };
-        for (off, &ucv) in uc.iter().enumerate() {
-            let j = ctx.colidx[u_lo + off];
-            if let Some(p) = ws.entry_of(j) {
-                vr[p - base] -= l * ucv;
-            }
-        }
+        ups.for_each(|u, p| vr[p] -= l * uc[u]);
     }
 }
 
@@ -345,6 +379,7 @@ pub fn finalize_row<T: Scalar>(ctx: &NumericCtx<'_, T>, r: usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::numeric::UpdatePlan;
     use std::sync::atomic::AtomicUsize;
 
     #[test]
@@ -373,8 +408,13 @@ mod tests {
         assert_eq!(ws.entry_of(0), Some(0));
         assert_eq!(ws.entry_of(1), Some(1));
         ws.load_row(&rowptr, &colidx, 1);
-        assert_eq!(ws.entry_of(0), Some(2));
-        assert_eq!(ws.entry_of(1), Some(3));
+        assert_eq!(ws.entry_of(0), Some(0));
+        assert_eq!(ws.entry_of(1), Some(1));
+        // Row 2 stores column 1 only: column 0 is no longer mapped.
+        let (rowptr, colidx) = (vec![0, 2, 4, 5], vec![0, 1, 0, 1, 1]);
+        ws.load_row(&rowptr, &colidx, 2);
+        assert_eq!(ws.entry_of(0), None);
+        assert_eq!(ws.entry_of(1), Some(0));
     }
 
     /// 2x2 dense: A = [[4, 2], [1, 3]]; LU: l21 = 1/4, u22 = 3 - 2/4.
@@ -391,6 +431,7 @@ mod tests {
             rowptr: &rowptr,
             colidx: &colidx,
             diag_pos: &diag_pos,
+            plan: None,
             vals: &vals,
             drop_thresh: &[],
             milu_omega: 0.0,
@@ -402,8 +443,7 @@ mod tests {
         };
         let mut ws = RowWorkspace::new(2);
         finalize_row(&ctx, 0);
-        ws.load_row(&rowptr, &colidx, 1);
-        eliminate_columns(&ctx, &ws, 1, 0, 2);
+        eliminate_columns(&ctx, &mut ws, 1, 0, 2);
         finalize_row(&ctx, 1);
         let out = vals.into_values();
         assert_eq!(out, vec![4.0, 2.0, 0.25, 2.5]);
@@ -413,7 +453,7 @@ mod tests {
     #[test]
     fn window_split_equals_full_sweep() {
         // Row 2 of a dense 3x3 processed as [0,1) then [1,2) must equal
-        // one [0,2) sweep.
+        // one [0,2) sweep, with and without the update plan.
         let a = [[4.0, 1.0, 2.0], [1.0, 5.0, 1.0], [2.0, 1.0, 6.0]];
         let build = || {
             let rowptr = vec![0, 3, 6, 9];
@@ -422,8 +462,10 @@ mod tests {
             let flat: Vec<f64> = a.iter().flatten().copied().collect();
             (rowptr, colidx, diag_pos, LuVals::from_values(&flat))
         };
-        let run = |windows: &[(usize, usize)]| -> Vec<f64> {
+        let run = |windows: &[(usize, usize)], planned: bool| -> Vec<f64> {
             let (rowptr, colidx, diag_pos, vals) = build();
+            let plan = planned
+                .then(|| UpdatePlan::build(&rowptr, &colidx, &diag_pos, usize::MAX).unwrap());
             let replaced = AtomicUsize::new(0);
             let dropped = AtomicUsize::new(0);
             let failed = AtomicUsize::new(usize::MAX);
@@ -431,6 +473,7 @@ mod tests {
                 rowptr: &rowptr,
                 colidx: &colidx,
                 diag_pos: &diag_pos,
+                plan: plan.as_ref(),
                 vals: &vals,
                 drop_thresh: &[],
                 milu_omega: 0.0,
@@ -440,23 +483,25 @@ mod tests {
                 dropped: &dropped,
                 failed_row: &failed,
             };
-            let mut ws = RowWorkspace::new(3);
+            let mut ws = ctx.workspace();
             for r in 0..3 {
-                ws.load_row(&rowptr, &colidx, r);
                 if r < 2 {
-                    eliminate_columns(&ctx, &ws, r, 0, 3);
+                    eliminate_columns(&ctx, &mut ws, r, 0, 3);
                 } else {
                     for &(lo, hi) in windows {
-                        eliminate_columns(&ctx, &ws, r, lo, hi);
+                        eliminate_columns(&ctx, &mut ws, r, lo, hi);
                     }
                 }
                 finalize_row(&ctx, r);
             }
             vals.into_values()
         };
-        let full = run(&[(0, 3)]);
-        let split = run(&[(0, 1), (1, 3)]);
-        assert_eq!(full, split);
+        let full = run(&[(0, 3)], false);
+        let bits = |v: Vec<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for planned in [false, true] {
+            assert_eq!(bits(run(&[(0, 1), (1, 3)], planned)), bits(full.clone()));
+            assert_eq!(bits(run(&[(0, 3)], planned)), bits(full.clone()));
+        }
     }
 
     #[test]
@@ -473,6 +518,7 @@ mod tests {
             rowptr: &rowptr,
             colidx: &colidx,
             diag_pos: &diag_pos,
+            plan: None,
             vals: &vals,
             drop_thresh: &[],
             milu_omega: 0.0,
@@ -500,6 +546,7 @@ mod tests {
             rowptr: &rowptr,
             colidx: &colidx,
             diag_pos: &diag_pos,
+            plan: None,
             vals: &vals,
             drop_thresh: &[],
             milu_omega: 0.0,
@@ -528,6 +575,7 @@ mod tests {
             rowptr: &rowptr,
             colidx: &colidx,
             diag_pos: &diag_pos,
+            plan: None,
             vals: &vals,
             drop_thresh: &thresh,
             milu_omega: 1.0,

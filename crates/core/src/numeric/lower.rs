@@ -31,6 +31,7 @@
 
 use crate::numeric::kernel::{eliminate_columns, finalize_row, RowWorkspace};
 use crate::numeric::parallel::{factor_rows_serial, factor_rows_serial_ws};
+use crate::numeric::plan::updates;
 use crate::numeric::NumericCtx;
 use javelin_sparse::Scalar;
 use javelin_sync::{pool, Exec, TaskGraph};
@@ -51,12 +52,10 @@ pub fn factor_lower_er<T: Scalar>(
         return;
     }
     pool::parallel_chunks(nthreads, n_lower, |_tid, range| {
-        let mut ws = RowWorkspace::new(n);
+        let mut ws = ctx.workspace();
         for off in range {
-            let r = n_upper + off;
-            ws.load_row(ctx.rowptr, ctx.colidx, r);
             // FACTOR_L: everything left of the corner.
-            eliminate_columns(ctx, &ws, r, 0, n_upper);
+            eliminate_columns(ctx, &mut ws, n_upper + off, 0, n_upper);
         }
     });
     if parallel_corner {
@@ -96,9 +95,7 @@ pub fn factor_lower_er_planned<T: Scalar>(
         }
         let mut ws = workspaces[tid].lock();
         for off in start..end {
-            let r = n_upper + off;
-            ws.load_row(ctx.rowptr, ctx.colidx, r);
-            eliminate_columns(ctx, &ws, r, 0, n_upper);
+            eliminate_columns(ctx, &mut ws, n_upper + off, 0, n_upper);
         }
     });
     factor_rows_serial_ws(ctx, n_upper, n, n_upper, &mut workspaces[0].lock());
@@ -217,18 +214,15 @@ pub fn factor_lower_sr<T: Scalar>(
 
     let bufs: Vec<Mutex<Vec<(usize, T)>>> = (0..n_bufs).map(|_| Mutex::new(Vec::new())).collect();
     let graph = TaskGraph::new(nodes.len(), &deps);
-    let workspaces: Vec<Mutex<RowWorkspace>> = (0..nthreads)
-        .map(|_| Mutex::new(RowWorkspace::new(n)))
-        .collect();
+    let workspaces: Vec<Mutex<RowWorkspace>> =
+        (0..nthreads).map(|_| Mutex::new(ctx.workspace())).collect();
     let dropping = !ctx.drop_thresh.is_empty();
     graph.execute_with_tid(nthreads, |tid, node| {
         match &nodes[node] {
             SrNode::Seg { row, k_lo, k_hi } => {
-                let mut ws = workspaces[tid].lock();
-                ws.load_row(ctx.rowptr, ctx.colidx, *row);
                 let col_lo = ctx.colidx[*k_lo];
                 let col_hi = ctx.colidx[*k_hi - 1] + 1;
-                eliminate_columns(ctx, &ws, *row, col_lo, col_hi);
+                eliminate_columns(ctx, &mut workspaces[tid].lock(), *row, col_lo, col_hi);
             }
             SrNode::Tile {
                 row,
@@ -239,18 +233,23 @@ pub fn factor_lower_sr<T: Scalar>(
                 // DIVIDE_COLUMNS + delta collection (race-free: each
                 // tile writes only its own entries and its own buffer).
                 let mut ws = workspaces[tid].lock();
-                ws.load_row(ctx.rowptr, ctx.colidx, *row);
+                if ctx.plan.is_none() {
+                    ws.load_row(ctx.rowptr, ctx.colidx, *row);
+                }
+                let base = ctx.rowptr[*row];
                 let mut deltas: Vec<(usize, T)> = Vec::new();
                 // Safety: concurrent tiles of one block own disjoint
                 // entry subranges, and same-row blocks are chained
                 // through the task graph — `k_lo..k_hi` is exclusively
                 // this tile's until its graph successors run.
                 let vt = unsafe { ctx.vals.view_mut(*k_lo..*k_hi) };
-                for (i, kk) in (*k_lo..*k_hi).enumerate() {
-                    let c = ctx.colidx[kk];
+                for (i, e) in (*k_lo..*k_hi).enumerate() {
+                    let (piv, ups) =
+                        updates(ctx.plan, &ws, ctx.rowptr, ctx.colidx, ctx.diag_pos, *row, e);
                     // Safety: row `c` is an upper-stage row, finalized
-                    // before the lower stage started.
-                    let uc = unsafe { ctx.vals.view(ctx.diag_pos[c]..ctx.rowptr[c + 1]) };
+                    // before the lower stage started; the view spans its
+                    // pivot through the last U entry the updates read.
+                    let uc = unsafe { ctx.vals.view(piv..piv + ups.span()) };
                     let l = vt[i] / uc[0];
                     if dropping && l.abs() < ctx.drop_thresh[*row] {
                         vt[i] = T::ZERO;
@@ -258,12 +257,7 @@ pub fn factor_lower_sr<T: Scalar>(
                         continue;
                     }
                     vt[i] = l;
-                    for (off, uk) in ((ctx.diag_pos[c] + 1)..ctx.rowptr[c + 1]).enumerate() {
-                        let j = ctx.colidx[uk];
-                        if let Some(p) = ws.entry_of(j) {
-                            deltas.push((p, l * uc[off + 1]));
-                        }
-                    }
+                    ups.for_each(|u, p| deltas.push((base + p, l * uc[u])));
                 }
                 *bufs[*buf].lock() = deltas;
             }
@@ -355,12 +349,11 @@ pub fn factor_corner_parallel<T: Scalar>(ctx: &NumericCtx<'_, T>, n_upper: usize
     });
     let progress = ProgressCounters::new(nthreads);
     pool::run_on_threads(nthreads, |tid| {
-        let mut ws = RowWorkspace::new(n);
+        let mut ws = ctx.workspace();
         for &task in schedule.thread_tasks(tid) {
             progress.wait_all(schedule.waits(task));
             let r = row_of_task[task];
-            ws.load_row(ctx.rowptr, ctx.colidx, r);
-            eliminate_columns(ctx, &ws, r, n_upper, n);
+            eliminate_columns(ctx, &mut ws, r, n_upper, n);
             finalize_row(ctx, r);
             progress.bump(tid);
         }
@@ -423,6 +416,7 @@ mod tests {
             rowptr: &rowptr,
             colidx: &colidx,
             diag_pos: &diag_pos,
+            plan: None,
             vals: &vals,
             drop_thresh: &[],
             milu_omega: 0.0,
@@ -485,6 +479,7 @@ mod tests {
             rowptr: &rowptr,
             colidx: &colidx,
             diag_pos: &diag_pos,
+            plan: None,
             vals: &vals,
             drop_thresh: &[],
             milu_omega: 0.0,

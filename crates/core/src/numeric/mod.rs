@@ -10,8 +10,10 @@ pub mod batch;
 pub mod kernel;
 pub mod lower;
 pub mod parallel;
+pub mod plan;
 
 pub use kernel::{LuVals, RowWorkspace};
+pub use plan::UpdatePlan;
 
 use crate::options::ZeroPivotPolicy;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -25,6 +27,9 @@ pub struct NumericCtx<'a, T: javelin_sparse::Scalar> {
     pub colidx: &'a [usize],
     /// Diagonal entry position of each row.
     pub diag_pos: &'a [usize],
+    /// The pattern's update plan; `None` above its size rule, where the
+    /// kernels scan through a [`RowWorkspace`] instead.
+    pub plan: Option<&'a UpdatePlan>,
     /// Bit-packed values (initialized from `A`, overwritten in place).
     pub vals: &'a LuVals<T>,
     /// Per-row τ drop thresholds (empty slice disables dropping).
@@ -50,6 +55,12 @@ impl<'a, T: javelin_sparse::Scalar> NumericCtx<'a, T> {
     #[inline(always)]
     pub fn row_range(&self, r: usize) -> std::ops::Range<usize> {
         self.rowptr[r]..self.rowptr[r + 1]
+    }
+
+    /// A row workspace for one worker of this run: full-size only when
+    /// the kernels scan (no plan), empty otherwise.
+    pub fn workspace(&self) -> RowWorkspace {
+        plan::workspace(self.plan, self.rowptr.len() - 1)
     }
 
     /// Records a pivot breakdown at `row`.

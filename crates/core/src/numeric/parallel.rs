@@ -11,9 +11,7 @@ use parking_lot::Mutex;
 /// Serial up-looking factorization of rows `0..n` — the reference every
 /// parallel engine must match bit-for-bit.
 pub fn factor_serial<T: Scalar>(ctx: &NumericCtx<'_, T>) {
-    let n = ctx.rowptr.len() - 1;
-    let mut ws = RowWorkspace::new(n);
-    factor_serial_ws(ctx, &mut ws);
+    factor_serial_ws(ctx, &mut ctx.workspace());
 }
 
 /// [`factor_serial`] with a caller-owned workspace — the allocation-free
@@ -26,9 +24,7 @@ pub fn factor_serial_ws<T: Scalar>(ctx: &NumericCtx<'_, T>, ws: &mut RowWorkspac
 /// Serial up-looking factorization restricted to rows `lo..hi`
 /// (used for the lower-stage corner).
 pub fn factor_rows_serial<T: Scalar>(ctx: &NumericCtx<'_, T>, lo: usize, hi: usize, col_lo: usize) {
-    let n = ctx.rowptr.len() - 1;
-    let mut ws = RowWorkspace::new(n);
-    factor_rows_serial_ws(ctx, lo, hi, col_lo, &mut ws);
+    factor_rows_serial_ws(ctx, lo, hi, col_lo, &mut ctx.workspace());
 }
 
 /// [`factor_rows_serial`] with a caller-owned workspace.
@@ -41,7 +37,6 @@ pub fn factor_rows_serial_ws<T: Scalar>(
 ) {
     let n = ctx.rowptr.len() - 1;
     for r in lo..hi {
-        ws.load_row(ctx.rowptr, ctx.colidx, r);
         eliminate_columns(ctx, ws, r, col_lo, n);
         finalize_row(ctx, r);
     }
@@ -66,11 +61,10 @@ pub fn factor_upper_p2p<T: Scalar>(ctx: &NumericCtx<'_, T>, schedule: &P2PSchedu
     pool::run_on_threads(nthreads, |tid| {
         // Workspace allocated inside the worker: first-touch local, as
         // the paper's copy-fill-in phase recommends.
-        let mut ws = RowWorkspace::new(n);
+        let mut ws = ctx.workspace();
         for &row in schedule.thread_tasks(tid) {
             progress.wait_all(schedule.waits(row));
-            ws.load_row(ctx.rowptr, ctx.colidx, row);
-            eliminate_columns(ctx, &ws, row, 0, n);
+            eliminate_columns(ctx, &mut ws, row, 0, n);
             finalize_row(ctx, row);
             progress.bump(tid);
         }
@@ -107,8 +101,7 @@ pub fn factor_upper_p2p_planned<T: Scalar>(
         let mut ws = workspaces[tid].lock();
         for &row in schedule.thread_tasks(tid) {
             progress.wait_all(schedule.waits(row));
-            ws.load_row(ctx.rowptr, ctx.colidx, row);
-            eliminate_columns(ctx, &ws, row, 0, n);
+            eliminate_columns(ctx, &mut ws, row, 0, n);
             finalize_row(ctx, row);
             progress.bump(tid);
         }
@@ -154,6 +147,7 @@ mod tests {
             rowptr: &rowptr,
             colidx: &colidx,
             diag_pos: &diag_pos,
+            plan: None,
             vals: &vals,
             drop_thresh: &[],
             milu_omega: 0.0,
@@ -197,6 +191,7 @@ mod tests {
                 rowptr: &rowptr,
                 colidx: &colidx,
                 diag_pos: &diag_pos,
+                plan: None,
                 vals: &vals,
                 drop_thresh: &[],
                 milu_omega: 0.0,
@@ -216,6 +211,7 @@ mod tests {
                 rowptr: &rowptr,
                 colidx: &colidx,
                 diag_pos: &diag_pos,
+                plan: None,
                 vals: &vals,
                 drop_thresh: &[],
                 milu_omega: 0.0,

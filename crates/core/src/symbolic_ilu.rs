@@ -30,12 +30,12 @@
 
 use crate::factors::{IluFactors, SolvePlan};
 use crate::numeric::kernel::{LuVals, RowWorkspace};
-use crate::numeric::{lower, parallel, NumericCtx};
+use crate::numeric::{lower, parallel, plan, NumericCtx, UpdatePlan};
 use crate::options::{IluOptions, LowerMethod, SolveEngine, ZeroPivotPolicy};
 use crate::stats::FactorStats;
 use crate::symbolic;
 use crate::trisolve::engines::SolveScratch;
-use crate::trisolve::serial::{SweepPattern, SweepVals};
+use crate::trisolve::serial::{index_u32, SweepPattern, SweepVals};
 use javelin_level::{split_levels, LevelSets, P2PSchedule};
 use javelin_sparse::pattern::{
     level_pattern_of, lower_of_pattern, upper_of_pattern, LevelPattern, SparsityPattern,
@@ -48,18 +48,29 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Marks an LU position with no corresponding entry in `A` (fill).
-pub(crate) const FILL: usize = usize::MAX;
+/// Never a real source index: `A`'s entries are fewer than the LU
+/// pattern's, which analysis keeps below 2³².
+pub(crate) const FILL: u32 = u32::MAX;
+
+/// Bytes of a combined LU factor with `n` rows and `nnz` entries:
+/// values, `usize` column indices and row pointers. The update plan's
+/// size rule: a plan is built only if it needs no more than this.
+fn lu_bytes<T>(n: usize, nnz: usize) -> usize {
+    let idx = std::mem::size_of::<usize>();
+    nnz * (std::mem::size_of::<T>() + idx) + (n + 1) * idx
+}
 
 /// Reusable working state of the numeric phase, sized at analysis time
 /// so a steady-state [`IluFactors::refactor`] allocates nothing: the
-/// bit-packed value buffer, the τ thresholds, one sparse-accumulator
-/// workspace per participant and the resettable progress counters of
-/// the planned point-to-point upper stage.
+/// value buffer, the τ thresholds, one sparse-accumulator workspace per
+/// participant (full-size only when the pattern has no update plan) and
+/// the resettable progress counters of the planned point-to-point upper
+/// stage.
 pub(crate) struct NumericScratch<T> {
     lu_vals: LuVals<T>,
     drop_thresh: Vec<T>,
     /// Shared with the batched-refactor engines (`crate::batch_factor`):
-    /// the sparse-accumulator loads are pattern-only, so one workspace
+    /// the sparse-accumulator scans are pattern-only, so one workspace
     /// set serves the scalar path and every lane width.
     pub(crate) row_ws: Vec<Mutex<RowWorkspace>>,
     pub(crate) progress: ProgressCounters,
@@ -85,7 +96,10 @@ pub(crate) struct SymCore<T> {
     pub(crate) colidx: Vec<usize>,
     pub(crate) diag_pos: Vec<usize>,
     /// Per LU entry: source index into `A.vals()`, or [`FILL`].
-    pub(crate) a_src: Vec<usize>,
+    pub(crate) a_src: Vec<u32>,
+    /// The updates of the numeric phase, found once (see
+    /// [`crate::numeric::plan`]); `None` above the plan's size rule.
+    pub(crate) update_plan: Option<UpdatePlan>,
     pub(crate) perm: Perm,
     /// The serial engine's copy of the LU pattern (see
     /// [`crate::trisolve::serial`]).
@@ -225,9 +239,9 @@ impl<T: Scalar> SymbolicIlu<T> {
         let new_to_old = perm.new_to_old();
         let mut rowptr = vec![0usize; n + 1];
         let mut colidx: Vec<usize> = Vec::with_capacity(s.nnz());
-        let mut a_src: Vec<usize> = Vec::with_capacity(s.nnz());
+        let mut a_src: Vec<u32> = Vec::with_capacity(s.nnz());
         {
-            let mut merge: Vec<(usize, usize)> = Vec::new();
+            let mut merge: Vec<(usize, u32)> = Vec::new();
             for new_r in 0..n {
                 let old_r = new_to_old[new_r];
                 merge.clear();
@@ -238,7 +252,7 @@ impl<T: Scalar> SymbolicIlu<T> {
                 for &old_c in s.row_cols(old_r) {
                     let src = if ai < a_cols.len() && a_cols[ai] == old_c {
                         ai += 1;
-                        a_lo + ai - 1
+                        index_u32(a_lo + ai - 1, "nnz_a")?
                     } else {
                         FILL
                     };
@@ -262,6 +276,8 @@ impl<T: Scalar> SymbolicIlu<T> {
             })
             .collect();
         let sweep = SweepPattern::new(&rowptr, &colidx, &diag_pos, new_to_old)?;
+        let update_plan =
+            UpdatePlan::build(&rowptr, &colidx, &diag_pos, lu_bytes::<T>(n, colidx.len()));
 
         // Forward schedule over the upper stage. Dependencies are the
         // strictly-lower columns of the *permuted* pattern — always
@@ -399,7 +415,7 @@ impl<T: Scalar> SymbolicIlu<T> {
                 Vec::new()
             },
             row_ws: (0..nthreads)
-                .map(|_| Mutex::new(RowWorkspace::new(n)))
+                .map(|_| Mutex::new(plan::workspace(update_plan.as_ref(), n)))
                 .collect(),
             progress: ProgressCounters::new(nthreads),
         });
@@ -425,6 +441,7 @@ impl<T: Scalar> SymbolicIlu<T> {
                 colidx,
                 diag_pos,
                 a_src,
+                update_plan,
                 perm,
                 sweep,
                 plan,
@@ -444,6 +461,13 @@ impl<T: Scalar> SymbolicIlu<T> {
     /// Stored entries of the combined LU pattern (incl. fill).
     pub fn nnz(&self) -> usize {
         self.core.colidx.len()
+    }
+
+    /// Bytes of the numeric update plan, or `None` when the pattern is
+    /// above the plan's size rule and the numeric phase scans instead
+    /// (see [`crate::numeric::plan`]).
+    pub fn update_plan_bytes(&self) -> Option<usize> {
+        self.core.update_plan.as_ref().map(UpdatePlan::bytes)
     }
 
     /// Threads the plans were built for.
@@ -557,7 +581,7 @@ impl<T: Scalar> SymbolicIlu<T> {
             stats.dropped_entries = outcome.dropped;
             stats.shift_attempts = outcome.attempts;
             stats.diag_shift = outcome.shift;
-            sweep.commit(c, |e| num.lu_vals.get(e), &mut vals);
+            sweep.commit(c, num.lu_vals.as_mut_slice(), 1, 0, &mut vals);
         }
         stats.t_numeric = t2.elapsed();
         let lu = CsrMatrix::from_raw_unchecked(c.n, c.n, c.rowptr.clone(), c.colidx.clone(), vals);
@@ -591,21 +615,24 @@ impl<T: Scalar> SymbolicIlu<T> {
             stats.dropped_entries = outcome.dropped;
             stats.shift_attempts = outcome.attempts;
             stats.diag_shift = outcome.shift;
-            sweep.commit(&self.core, |e| num.lu_vals.get(e), lu);
+            sweep.commit(&self.core, num.lu_vals.as_mut_slice(), 1, 0, lu);
         }
         stats.t_numeric = t2.elapsed();
         Ok(())
     }
 
-    /// Loads `a`'s values into the reusable bit-packed buffer through
-    /// the precomputed source map (fill positions get zero) and
-    /// recomputes the τ drop thresholds in place. Allocation-free.
+    /// Loads `a`'s values into the reusable value buffer through the
+    /// precomputed source map (fill positions get zero) and recomputes
+    /// the τ drop thresholds in place. Allocation-free.
     fn load_values(&self, a: &CsrMatrix<T>, num: &mut NumericScratch<T>) {
         let c = &*self.core;
         let a_vals = a.vals();
-        for (k, &src) in c.a_src.iter().enumerate() {
-            num.lu_vals
-                .set(k, if src == FILL { T::ZERO } else { a_vals[src] });
+        for (v, &src) in num.lu_vals.as_mut_slice().iter_mut().zip(&c.a_src) {
+            *v = if src == FILL {
+                T::ZERO
+            } else {
+                a_vals[src as usize]
+            };
         }
         // τ drop thresholds, relative to the original row norms (Saad's
         // ILUT convention).
@@ -753,7 +780,7 @@ impl<T: Scalar> SymbolicIlu<T> {
             stats.dropped_entries = dropped;
             stats.shift_attempts = 1;
             stats.diag_shift = shift;
-            sweep.commit(&self.core, |e| num.lu_vals.get(e), lu);
+            sweep.commit(&self.core, num.lu_vals.as_mut_slice(), 1, 0, lu);
         }
         stats.t_numeric = t2.elapsed();
         Ok(())
@@ -774,6 +801,7 @@ impl<T: Scalar> SymbolicIlu<T> {
             rowptr: &c.rowptr,
             colidx: &c.colidx,
             diag_pos: &c.diag_pos,
+            plan: c.update_plan.as_ref(),
             vals: &num.lu_vals,
             drop_thresh: &num.drop_thresh,
             milu_omega: T::from_f64(c.opts.milu_omega),

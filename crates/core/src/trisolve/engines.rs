@@ -93,16 +93,15 @@ pub enum LowerTiles {
 ///
 /// * forward/backward progress counters and the barrier, reset per
 ///   engine entry;
-/// * the tiled trailing-block gather layout: per-tile first segment and
-///   a disjoint slot range in one flat partial buffer (replacing both
-///   the per-call `Vec<Mutex<Vec<…>>>` and the per-tile
-///   `partition_point` searches);
-/// * the trailing-block combination buffer `z`;
+/// * the tiled trailing-block gather layout: tiles are runs of whole
+///   trailing-row segments, cut only at segment boundaries, so each
+///   row's gather sum is one in-order sum and lands in its own slot of
+///   one flat partial buffer;
 /// * `xbuf`, the bit-packed in-place solution panel the engines operate
 ///   on, loaded/stored by the caller.
 ///
 /// The value buffers carry a **panel width**: `xbuf` holds `n × width`
-/// entries (row-interleaved), `partials` and `z` gain the same column
+/// entries (row-interleaved), `partials` gains the same column
 /// dimension. [`SolveScratch::ensure_width`] resizes them grow-only —
 /// the first `k = 8` solve allocates once, every later solve at width
 /// `≤ 8` (including `k = 1`) reuses the high-water-mark buffers.
@@ -123,18 +122,12 @@ pub struct SolveScratch<T> {
     /// forward+backward region never resets counters mid-flight.
     bwd_progress: ProgressCounters,
     barrier: SpinBarrier,
-    /// Number of trailing-block gather tiles (0 when no lower stage).
-    n_tiles: usize,
-    /// Per tile: first trailing-block segment it overlaps.
-    tile_first_seg: Vec<usize>,
-    /// Per tile: slot range `slot_ptr[t]..slot_ptr[t + 1]` in `partials`
-    /// (per column; the flat buffer holds `width` values per slot).
-    slot_ptr: Vec<usize>,
-    /// Flat tiled-gather partials, disjointly owned via `slot_ptr`;
-    /// slot `s`, column `c` lives at `s·width + c`.
+    /// Tile `t` gathers trailing-row segments
+    /// `tile_seg_ptr[t]..tile_seg_ptr[t + 1]`.
+    tile_seg_ptr: Vec<usize>,
+    /// Per-trailing-row gather sums (`n_lower × width`): segment `s`,
+    /// column `c` at `s·width + c`, written by the segment's tile.
     partials: LuVals<T>,
-    /// Per-trailing-row combination buffer (`n_lower × width`).
-    z: LuVals<T>,
     /// The in-place solve panel (`n × width`, row-interleaved).
     pub(crate) xbuf: LuVals<T>,
 }
@@ -166,30 +159,19 @@ impl<T: Scalar> SolveScratch<T> {
             None => LuVals::zeroed(len),
         };
         let tile = tile_size.max(1);
-        let n_block_entries = *plan.block_seg_ptr.last().unwrap_or(&0);
-        let n_tiles = if n_block_entries > 0 {
-            n_block_entries.div_ceil(tile)
-        } else {
-            0
-        };
-        let mut tile_first_seg = Vec::with_capacity(n_tiles);
-        let mut slot_ptr = Vec::with_capacity(n_tiles + 1);
-        slot_ptr.push(0usize);
-        for t in 0..n_tiles {
-            let lo = t * tile;
-            let hi = ((t + 1) * tile).min(n_block_entries);
-            let first = plan
-                .block_seg_ptr
-                .partition_point(|&p| p <= lo)
-                .saturating_sub(1);
-            let last = plan
-                .block_seg_ptr
-                .partition_point(|&p| p < hi)
-                .saturating_sub(1);
-            tile_first_seg.push(first);
-            slot_ptr.push(slot_ptr[t] + (last - first + 1));
+        let n_lower = n - plan.n_upper;
+        let seg_ptr = &plan.block_seg_ptr;
+        // Close a tile once it holds `tile` entries: a long segment gets
+        // a tile of its own rather than being split.
+        let mut tile_seg_ptr = vec![0usize];
+        if *seg_ptr.last().unwrap_or(&0) > 0 {
+            for seg in 0..n_lower {
+                let start = seg_ptr[*tile_seg_ptr.last().expect("nonempty")];
+                if seg_ptr[seg + 1] - start >= tile || seg + 1 == n_lower {
+                    tile_seg_ptr.push(seg + 1);
+                }
+            }
         }
-        let n_slots = *slot_ptr.last().expect("nonempty");
         SolveScratch {
             nthreads,
             tile,
@@ -200,11 +182,8 @@ impl<T: Scalar> SolveScratch<T> {
             progress: ProgressCounters::new(nthreads),
             bwd_progress: ProgressCounters::new(nthreads),
             barrier: SpinBarrier::new(nthreads),
-            n_tiles,
-            tile_first_seg,
-            slot_ptr,
-            partials: zeroed(n_slots),
-            z: zeroed(n - plan.n_upper),
+            tile_seg_ptr,
+            partials: zeroed(n_lower),
             xbuf: zeroed(n),
         }
     }
@@ -219,6 +198,11 @@ impl<T: Scalar> SolveScratch<T> {
         self.tile
     }
 
+    /// Number of trailing-block gather tiles (0 without a lower stage).
+    pub fn n_tiles(&self) -> usize {
+        self.tile_seg_ptr.len() - 1
+    }
+
     /// Current panel width `k`.
     pub fn width(&self) -> usize {
         self.width
@@ -231,9 +215,7 @@ impl<T: Scalar> SolveScratch<T> {
     pub fn ensure_width(&mut self, width: usize) {
         let width = width.max(1);
         if width > self.width_cap {
-            let n_slots = *self.slot_ptr.last().expect("nonempty");
-            self.partials = LuVals::zeroed(n_slots * width);
-            self.z = LuVals::zeroed(self.n_lower * width);
+            self.partials = LuVals::zeroed(self.n_lower * width);
             self.xbuf = LuVals::zeroed(self.n * width);
             self.width_cap = width;
         }
@@ -521,46 +503,24 @@ fn forward_p2p_phase<T: Scalar, L: Lanes>(
     if n_upper == n {
         return;
     }
-    let n_block_entries = *plan.block_seg_ptr.last().unwrap_or(&0);
-    let n_tiles = scratch.n_tiles;
-    let tile = scratch.tile;
     scratch.barrier.wait();
     if use_tiles {
-        // Tiled segmented gather over the trailing block: each tile
-        // writes per-segment partial sums into its disjoint slot range
-        // (tile boundaries and first segments precomputed in the
-        // scratch — no searches, no allocation). Lane chunks re-walk
-        // the tile so accumulators stay on the stack.
+        // Tiled segmented gather over the trailing block: each tile sums
+        // its segments, each from zero in column order, into the
+        // segments' own slots (tile layout precomputed in the scratch —
+        // no searches, no allocation). Lane chunks re-walk the tile so
+        // accumulators stay on the stack.
         let mut t = tid;
-        while t < n_tiles {
-            let lo = t * tile;
-            let hi = ((t + 1) * tile).min(n_block_entries);
-            let base = scratch.slot_ptr[t];
-            let first_seg = scratch.tile_first_seg[t];
+        while t < scratch.n_tiles() {
+            let segs = scratch.tile_seg_ptr[t]..scratch.tile_seg_ptr[t + 1];
             // Safety: tile `t` is processed by exactly one thread, and
-            // `slot_ptr` partitions the slots disjointly across tiles.
-            let pt = unsafe {
-                scratch
-                    .partials
-                    .view_mut(base * k..scratch.slot_ptr[t + 1] * k)
-            };
-            // Zero the tile's slots first: segments inside the span
-            // that this walk skips (empty segments) must not leak
-            // values from a previous solve.
-            pt.fill(T::ZERO);
+            // the tiles partition the segments, hence the slots.
+            let pt = unsafe { scratch.partials.view_mut(segs.start * k..segs.end * k) };
             for_each_chunk(0..k, |c0, cw| {
-                let mut seg = first_seg;
-                let mut cursor = lo;
-                while cursor < hi {
-                    while plan.block_seg_ptr[seg + 1] <= cursor {
-                        seg += 1;
-                    }
-                    let seg_hi = plan.block_seg_ptr[seg + 1].min(hi);
-                    let (k_lo, _) = plan.block_rows[seg];
-                    let seg_base = plan.block_seg_ptr[seg];
+                for (slot, seg) in segs.clone().enumerate() {
+                    let (k_lo, k_hi) = plan.block_rows[seg];
                     let mut accs = [T::ZERO; LANE_CHUNK];
-                    for v in cursor..seg_hi {
-                        let e = k_lo + (v - seg_base);
+                    for e in k_lo..k_hi {
                         let val = lu.vals()[e];
                         let xb = lanes.idx(lu.colidx()[e], c0);
                         // Safety: the gathered columns are upper-stage
@@ -570,11 +530,7 @@ fn forward_p2p_phase<T: Scalar, L: Lanes>(
                             *acc += val * xv;
                         }
                     }
-                    let slot = seg - first_seg;
-                    for (c, acc) in accs[..cw].iter().enumerate() {
-                        pt[slot * k + c0 + c] = *acc;
-                    }
-                    cursor = seg_hi;
+                    pt[slot * k + c0..slot * k + c0 + cw].copy_from_slice(&accs[..cw]);
                 }
             });
             t += nthreads;
@@ -590,51 +546,22 @@ fn forward_p2p_phase<T: Scalar, L: Lanes>(
     if cols.is_empty() {
         return;
     }
-    let n_lower = n - n_upper;
     if use_tiles {
-        // Combine tile partials in tile order (deterministic per
-        // column), then finish each trailing row with its corner part.
-        // Every z/partials/x view below is clipped to this thread's
-        // `cols` window — other threads work the other columns.
-        for off in 0..n_lower {
-            // Safety: column-split — the `cols` window of z is ours.
-            let zr = unsafe {
-                scratch
-                    .z
-                    .view_mut(lanes.idx(off, cols.start)..lanes.idx(off, cols.end))
-            };
-            zr.fill(T::ZERO);
-        }
-        for t in 0..n_tiles {
-            let first_seg = scratch.tile_first_seg[t];
-            for (i, s) in (scratch.slot_ptr[t]..scratch.slot_ptr[t + 1]).enumerate() {
-                let seg = first_seg + i;
-                // Safety: z `cols` window owned as above; the partials
-                // are quiescent after the gather barrier.
-                let zr = unsafe {
-                    scratch
-                        .z
-                        .view_mut(lanes.idx(seg, cols.start)..lanes.idx(seg, cols.end))
-                };
-                let ps = unsafe {
-                    scratch
-                        .partials
-                        .view(lanes.idx(s, cols.start)..lanes.idx(s, cols.end))
-                };
-                for (zv, &pv) in zr.iter_mut().zip(ps) {
-                    *zv += pv;
-                }
-            }
-        }
-        for off in 0..n_lower {
+        // Finish each trailing row from its gather sum with its corner
+        // part: the same in-order sum the untiled retire computes.
+        for off in 0..n - n_upper {
             let r = n_upper + off;
             let (_, k_hi) = plan.block_rows[off];
             for_each_chunk(cols.clone(), |c0, cw| {
                 let mut sums = [T::ZERO; LANE_CHUNK];
-                // Safety: z `cols` window owned by this thread (reads
-                // back the combination written above).
-                let zs = unsafe { scratch.z.view(lanes.idx(off, c0)..lanes.idx(off, c0) + cw) };
-                sums[..cw].copy_from_slice(zs);
+                // Safety: the partials are quiescent after the gather
+                // barrier.
+                let ps = unsafe {
+                    scratch
+                        .partials
+                        .view(lanes.idx(off, c0)..lanes.idx(off, c0) + cw)
+                };
+                sums[..cw].copy_from_slice(ps);
                 for e in k_hi..diag_pos[r] {
                     let v = lu.vals()[e];
                     let xb = lanes.idx(lu.colidx()[e], c0);
@@ -719,7 +646,7 @@ pub fn forward_p2p<T: Scalar, L: Lanes>(
     debug_assert_eq!(lanes.width(), scratch.width, "lanes vs scratch width");
     scratch.progress.reset();
     scratch.barrier.reset();
-    let use_tiles = tiles == LowerTiles::On && scratch.n_tiles > 0;
+    let use_tiles = tiles == LowerTiles::On && scratch.n_tiles() > 0;
     exec.run(|tid| {
         region_failpoint(tid);
         forward_p2p_phase(
@@ -778,7 +705,7 @@ pub fn solve_p2p_fused<T: Scalar, L: Lanes>(
     scratch.progress.reset();
     scratch.bwd_progress.reset();
     scratch.barrier.reset();
-    let use_tiles = tiles == LowerTiles::On && scratch.n_tiles > 0;
+    let use_tiles = tiles == LowerTiles::On && scratch.n_tiles() > 0;
     let k = lanes.width();
     exec.run(|tid| {
         region_failpoint(tid);

@@ -23,9 +23,9 @@
 //! row sums its off-diagonal products in ascending column order starting
 //! from zero, subtracts the sum from its right-hand side and, in U,
 //! divides by the pivot. The serial engine is therefore bit-identical to
-//! `BarrierLevel` and `PointToPoint`, which read the combined CSR, and to
-//! `PointToPointLower` except where that engine's tiled gather splits a
-//! trailing row's sum across tiles and so reassociates it.
+//! `BarrierLevel`, `PointToPoint` and `PointToPointLower`, which read the
+//! combined CSR (`PointToPointLower` cuts its gather tiles only between
+//! trailing rows, so each row's sum stays in order).
 
 use crate::symbolic_ilu::SymCore;
 use javelin_sparse::{Scalar, SparseError};
@@ -131,15 +131,29 @@ impl<T: Scalar> SweepVals<T> {
         }
     }
 
-    /// Writes every factor value `get(e)` (`e` indexing the combined LU
-    /// arrays of `core`) into `lu` and into this layout, in one pass —
-    /// the commit of every numeric phase.
-    pub(crate) fn commit(&mut self, core: &SymCore<T>, get: impl Fn(usize) -> T, lu: &mut [T]) {
+    /// Writes the factor values into `lu` and into this layout, in one
+    /// pass — the commit of every numeric phase. The value of entry `e`
+    /// of the combined LU arrays of `core` is `src[e·k + lane]`: `k = 1`
+    /// for the scalar numeric buffer, lane `lane` of `k` for a batch's
+    /// interleaved one.
+    pub(crate) fn commit(
+        &mut self,
+        core: &SymCore<T>,
+        src: &[T],
+        k: usize,
+        lane: usize,
+        lu: &mut [T],
+    ) {
         let p = &core.sweep;
         for r in 0..core.n {
             let (lo, d, hi) = (core.rowptr[r], core.diag_pos[r], core.rowptr[r + 1]);
-            for (e, v) in lu[lo..hi].iter_mut().enumerate() {
-                *v = get(lo + e);
+            let row = &mut lu[lo..hi];
+            if k == 1 {
+                row.copy_from_slice(&src[lo..hi]);
+            } else {
+                for (v, &s) in row.iter_mut().zip(src[lo * k + lane..].iter().step_by(k)) {
+                    *v = s;
+                }
             }
             self.l[p.l_range(r)].copy_from_slice(&lu[lo..d]);
             self.diag[r] = lu[d];

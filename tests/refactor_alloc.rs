@@ -474,4 +474,36 @@ fn steady_state_refactor_allocates_zero_bytes() {
             "round {round}: serial applies after refactor_batch allocated"
         );
     }
+
+    // ---- Phase 8: the scanning fallback. ----
+    // A pattern above the update plan's size rule eliminates through
+    // the per-participant row workspaces instead of the plan; their hit
+    // buffers grow on the first sweeps and are then reused, so steady-
+    // state refactors stay allocation-free at 1 and 2 threads.
+    let a8 = irregular(300);
+    for nthreads in [1usize, 2] {
+        let mut opts8 = IluOptions::ilu0(nthreads).with_fill(3);
+        opts8.split.min_rows_per_level = 8;
+        opts8.split.location_frac = 0.0;
+        let sym8 = SymbolicIlu::analyze(&a8, &opts8).expect("analysis (fallback)");
+        assert_eq!(
+            sym8.update_plan_bytes(),
+            None,
+            "pattern must be above the size rule"
+        );
+        let mut f8 = sym8.factor(&a8).expect("fallback factor");
+        f8.refactor(&revalue(&a8, 0.45)).expect("warm-up refactor");
+        f8.refactor(&revalue(&a8, 0.85)).expect("second warm-up");
+        for round in 0..3 {
+            let a8_t = revalue(&a8, 2.2 + round as f64);
+            let (allocs_mid, bytes_mid) = snapshot();
+            f8.refactor(&a8_t).expect("steady-state fallback refactor");
+            let (allocs_after, bytes_after) = snapshot();
+            assert_eq!(
+                (allocs_after - allocs_mid, bytes_after - bytes_mid),
+                (0, 0),
+                "round {round}, {nthreads} threads: fallback refactor allocated"
+            );
+        }
+    }
 }

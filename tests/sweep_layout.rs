@@ -7,7 +7,9 @@
 //! recovery and a batched refactor, for single right-hand sides and
 //! panels alike. A textbook substitution over `lu()` is the reference.
 
-use javelin::core::{IluFactors, IluOptions, SolveEngine, SymbolicIlu, ZeroPivotPolicy};
+use javelin::core::{
+    IluFactors, IluOptions, SolveEngine, SolveScratch, SymbolicIlu, ZeroPivotPolicy,
+};
 use javelin::sparse::{CooMatrix, CsrMatrix, Panel, PanelMut};
 use javelin::synth::suite::paper_suite;
 use javelin::synth::util::revalue;
@@ -20,19 +22,12 @@ const ENGINES: [SolveEngine; 4] = [
 ];
 
 /// Two threads with a forced lower stage, so every parallel engine has
-/// real work in both stages.
-///
-/// The tile covers the whole trailing block. With several tiles,
-/// `PointToPointLower` adds a trailing row's partial sums tile by tile,
-/// which reassociates the row's sum wherever a tile boundary splits it:
-/// the result then differs from the in-order sum by an ulp or so, and
-/// only tolerance tests hold. One tile keeps the in-order sum and still
-/// runs the tiled gather and the combination step.
+/// real work in both stages. The gather tile keeps its default size, so
+/// `PointToPointLower` splits most trailing blocks into several tiles.
 fn opts() -> IluOptions {
     let mut o = IluOptions::ilu0(2);
     o.split.min_rows_per_level = 12;
     o.split.location_frac = 0.1;
-    o.tile_size = 1 << 20;
     o
 }
 
@@ -128,12 +123,26 @@ fn with_zero_pivot_row(a: &CsrMatrix<f64>) -> CsrMatrix<f64> {
 
 #[test]
 fn serial_sweeps_match_every_engine_bitwise_across_suite() {
+    let mut multi_tile = 0;
     for meta in paper_suite() {
         let a = meta.build_tiny();
         let name = meta.name;
         let sym = SymbolicIlu::analyze(&a, &opts()).unwrap();
+        let tiles = SolveScratch::<f64>::new(sym.plan(), sym.n(), 2, sym.options().tile_size);
+        if tiles.n_tiles() > 1 {
+            multi_tile += 1;
+        }
         let mut f = sym.factor(&a).unwrap();
         check(&f, &format!("{name} factor"));
+        // Tiny tiles: every trailing block with more than a few entries
+        // is gathered in several tiles.
+        let mut small_tiles = opts();
+        small_tiles.tile_size = 4;
+        let f_small = SymbolicIlu::analyze(&a, &small_tiles)
+            .unwrap()
+            .factor(&a)
+            .unwrap();
+        check(&f_small, &format!("{name} factor, 4-entry tiles"));
 
         f.refactor(&revalue(&a, 0.61, 0.05)).unwrap();
         check(&f, &format!("{name} refactor"));
@@ -166,4 +175,8 @@ fn serial_sweeps_match_every_engine_bitwise_across_suite() {
         assert!(f_sr.stats().shift_attempts >= 2, "{name}: no recovery ran");
         check(&f_sr, &format!("{name} shift-retry refactor"));
     }
+    assert!(
+        multi_tile >= 6,
+        "only {multi_tile} multi-tile trailing blocks"
+    );
 }
